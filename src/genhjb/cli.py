@@ -8,6 +8,7 @@ problems, 3 numerical failures, 4 I/O failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from .errors import (ConditioningError, ConfigError, DivergenceError,
 from .generator import fit, load_model, min_eig_estimate, save_model
 from .hjb import HjbConfig, load_solution, save_solution, solve_fvp
 from .kernels import KernelSpec
+from .npzio import write_csv
 from .penalty import ControlPenalty
 
 _TOP_KEYS = {"system", "cost", "grid", "kernel", "penalty", "gamma", "dt",
@@ -87,13 +89,8 @@ class ExperimentConfig:
         if "family" not in kernel or "sigma" not in kernel:
             raise ConfigError("kernel.family and kernel.sigma are required")
         try:
-            self.kernel = KernelSpec(
-                family=str(kernel["family"]),
-                sigma=float(kernel["sigma"]),
-                smoothing_lengthscale_ratio=float(
-                    kernel.get("smoothing_lengthscale_ratio", 100.0)),
-                smoothing_radius=float(kernel.get("smoothing_radius", 1e-8)),
-            )
+            shape = {k: float(v) for k, v in kernel.items() if k != "family"}
+            self.kernel = KernelSpec(family=str(kernel["family"]), **shape)
         except ValueError as exc:
             raise ConfigError(f"bad kernel: {exc}") from None
 
@@ -163,9 +160,7 @@ class ExperimentConfig:
             )
         if pen.n_u != bench.system.n_u:
             raise ConfigError("penalty channel count does not match the system")
-        return systems.Benchmark(system=bench.system, grid=grid,
-                                 stage_cost=bench.stage_cost, pen=pen,
-                                 sim_system=bench.sim_system)
+        return dataclasses.replace(bench, grid=grid, pen=pen)
 
     def hjb_config(self) -> HjbConfig:
         try:
@@ -232,8 +227,7 @@ def cmd_fit(args) -> int:
     ds, ds_hash = read_dataset(path)
     _check_hash("dataset", ds_hash, cfg)
     t0 = time.perf_counter()
-    model = fit(ds, cfg.kernel, cfg.gamma, bench.system.epsilon
-                if cfg.epsilon is None else float(cfg.epsilon))
+    model = fit(ds, cfg.kernel, cfg.gamma, bench.system.epsilon)
     elapsed = time.perf_counter() - t0
     out = args.model or _out_path(cfg, "model.npz")
     save_model(out, model, config_hash=cfg.config_hash)
@@ -276,27 +270,6 @@ def _mode_cfg(cfg: ExperimentConfig, mode: str) -> dict:
     return dict(cfg.eval_cfg.get(mode, {}))
 
 
-def _reference_policy(cfg: ExperimentConfig, bench: systems.Benchmark):
-    """LQR reference for the linear benchmarks; others have no closed form."""
-    p = cfg.system_params
-    c = cfg.cost_params
-    if cfg.system_name == "linear-1d":
-        A = [[float(p.get("a", 1.0))]]
-        B = [[float(p.get("b", 1.0))]]
-        Q = [[float(c.get("q_weight", 1.5))]]
-    elif cfg.system_name == "linear-2d":
-        A = [[0.0, 1.0], [0.0, 0.0]]
-        B = [[0.0], [1.0]]
-        Q = (float(c.get("q_weight", 1.0)) * np.eye(2)).tolist()
-    else:
-        raise ConfigError(
-            f"mode needs a closed-form reference; system {cfg.system_name!r} has none"
-        )
-    R = [[float(c.get("r_weight", 0.5))]]
-    return systems.lqr_feedback(A, B, Q, R, u_min=bench.pen.u_min,
-                                u_max=bench.pen.u_max)
-
-
 def _policies(sol, bench, smooth: bool):
     if smooth:
         return lambda x: hjb.smoothed_policy_at(sol, bench.pen, x)
@@ -322,7 +295,7 @@ def cmd_eval(args) -> int:
 
     if mode == "rmse":
         sol = _load_solution_pair(cfg, args)
-        reference = _reference_policy(cfg, bench)
+        reference = bench.reference_policy()
         lo = np.asarray(opts.get("region_lo", [-1.0] * bench.system.n_x), dtype=float)
         hi = np.asarray(opts.get("region_hi", [1.0] * bench.system.n_x), dtype=float)
         rmse = evaluation.rmse_to_reference(
@@ -357,14 +330,10 @@ def cmd_eval(args) -> int:
         cost = accumulated_cost(states, inputs, _sim_stage_cost(bench), bench.pen,
                                 sim_dt)
         out = _out_path(cfg, "rollout.csv")
-        with open(out, "w") as fh:
-            fh.write(f"# config_hash={cfg.config_hash}\n")
-            cols = ["t"] + [f"x_{i}" for i in range(1, bench.sim_system.n_x + 1)] \
-                + [f"u_{j}" for j in range(1, bench.sim_system.n_u + 1)]
-            fh.write(",".join(cols) + "\n")
-            for k in range(inputs.shape[0]):
-                row = [k * sim_dt] + list(states[k]) + list(inputs[k])
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        cols = ["t"] + [f"x_{i}" for i in range(1, bench.sim_system.n_x + 1)] \
+            + [f"u_{j}" for j in range(1, bench.sim_system.n_u + 1)]
+        t = np.arange(inputs.shape[0]) * sim_dt
+        write_csv(out, cols, np.column_stack([t, states[:-1], inputs]), cfg.config_hash)
         print(f"rollout cost={cost:.6g} over {duration}s (wrote {out})")
         return 0
 
@@ -404,12 +373,11 @@ def cmd_eval(args) -> int:
     for key in ("variable", "values"):
         if key not in opts:
             raise ConfigError(f"eval.sweep.{key} is required")
-    reference = _reference_policy(cfg, bench)
+    reference = bench.reference_policy()
     base = evaluation.PipelineSpec(
         system=bench.system, grid=bench.grid, stage_cost=bench.stage_cost,
         pen=bench.pen, kernel=cfg.kernel, gamma=cfg.gamma, dt=cfg.dt,
         horizon_steps=cfg.horizon_steps,
-        epsilon=None if cfg.epsilon is None else float(cfg.epsilon),
         label_mode=cfg.label_mode, fd_step=cfg.fd_step, scheme=cfg.scheme,
     )
     lo = np.asarray(opts.get("region_lo", [-1.0] * bench.system.n_x), dtype=float)

@@ -14,8 +14,7 @@ import numpy as np
 import scipy.stats
 
 from .errors import ConfigError, DivergenceError, NumericalDomainError
-
-FLOAT_FMT = "%.17g"
+from .npzio import write_csv
 
 
 @dataclass(frozen=True)
@@ -361,20 +360,11 @@ def dataset_header(n_x: int, n_u: int) -> list:
 
 
 def write_dataset(path, ds: GeneratorDataset, config_hash: str | None = None) -> None:
-    """Write a dataset as CSV: states, per-channel drift labels, stage cost.
-
-    Floats are rendered with 17 significant digits so the file round-trips
-    bit-exactly.  An optional config hash is stored in a leading comment.
-    """
+    """Write a dataset as CSV: states, per-channel drift labels, stage cost."""
     rows = np.hstack(
         [ds.X] + [ds.drift_labels[c] for c in range(ds.n_u + 1)] + [ds.q[:, None]]
     )
-    with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(dataset_header(ds.n_x, ds.n_u)) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+    write_csv(path, dataset_header(ds.n_x, ds.n_u), rows, config_hash)
 
 
 def read_dataset(path):

@@ -21,9 +21,8 @@ from .errors import (ConditioningError, ConfigError, DivergenceError,
 from .generator import fit
 from .hjb import HjbConfig, HjbSolution, SEMI_IMPLICIT, policy_at, solve_fvp
 from .kernels import KernelSpec
+from .npzio import write_csv
 from .penalty import ControlPenalty
-
-FLOAT_FMT = "%.17g"
 
 SWEEP_VARIABLES = ("lengthscale", "dataset_size")
 
@@ -231,23 +230,13 @@ def run_cost_bench(spec: CostBenchSpec, policy: Callable) -> dict:
 
 def write_sweep_csv(path, rows, config_hash: str | None = None) -> None:
     """Sweep results as CSV: value, n_points, rmse (NaN for failed runs)."""
-    with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("value,n_points,rmse\n")
-        for row in rows:
-            fh.write(FLOAT_FMT % row["value"] + ",%d," % row["n_points"]
-                     + FLOAT_FMT % row["rmse"] + "\n")
+    write_csv(path, ["value", "n_points", "rmse"],
+              [(r["value"], r["n_points"], r["rmse"]) for r in rows], config_hash)
 
 
 def write_costs_csv(path, result, config_hash: str | None = None) -> None:
     """Per-rollout costs as CSV (NaN marks an excluded rollout)."""
-    with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("rollout,cost\n")
-        for i, c in enumerate(result["costs"]):
-            fh.write("%d," % i + FLOAT_FMT % c + "\n")
+    write_csv(path, ["rollout", "cost"], enumerate(result["costs"]), config_hash)
 
 
 def write_summary_json(path, payload: dict, config_hash: str | None = None) -> None:

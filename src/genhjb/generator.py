@@ -8,9 +8,11 @@ to the kernel sections k(x_l, .) at the data points gives the target matrix
 
 and ridge regression with the regularized Gram matrix K_gamma = K + N gamma I
 yields the compressed operator K_gamma^{-1} K_pi acting on coefficient
-vectors.  Control-affine structure survives the regression: with A-hat from
-the zero-input channel and B-hat_j from channel differences, the operator
-under input u is A-hat + sum_j u_j B-hat_j.
+vectors.  Control-affine structure survives the regression: A-hat is the
+fit of the zero-input drift f, and B-hat_j the fit of the input-map column
+g_j alone, with no diffusion term (the target is linear in the drift, so
+the target of f + g_j minus that of f is exactly the target of g_j).  The
+operator under input u is A-hat + sum_j u_j B-hat_j.
 """
 from __future__ import annotations
 
@@ -101,15 +103,14 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     K = kernels.gram_matrix(kernel, X)
     cho = _factor_kgamma(K, gamma)
 
-    K0 = target_kernel_matrix(kernel, X, dataset.drift_labels[0], epsilon)
-    A_hat = scipy.linalg.cho_solve(cho, K0)
+    labels = dataset.drift_labels
+    A_hat = scipy.linalg.cho_solve(
+        cho, target_kernel_matrix(kernel, X, labels[0], epsilon))
     B_hat = np.empty((dataset.n_u, X.shape[0], X.shape[0]))
     for j in range(dataset.n_u):
-        Kj = target_kernel_matrix(kernel, X, dataset.drift_labels[j + 1], epsilon)
-        Kj -= K0
-        B_hat[j] = scipy.linalg.cho_solve(cho, Kj)
-        del Kj
-    del K0
+        # channel j's label is f + g_j, so the difference is g_j
+        B_hat[j] = scipy.linalg.cho_solve(
+            cho, target_kernel_matrix(kernel, X, labels[j + 1] - labels[0], 0.0))
     q_coeff = scipy.linalg.cho_solve(cho, dataset.q)
     return GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,

@@ -27,14 +27,12 @@ import scipy.linalg
 from . import kernels, penalty as penalty_mod
 from .errors import DivergenceError, StepSizeError
 from .generator import GeneratorModel
-from .npzio import load_arrays, save_arrays
+from .npzio import load_arrays, save_arrays, write_csv
 from .penalty import ControlPenalty
 
 SEMI_IMPLICIT = "semi-implicit"
 IMPLICIT = "implicit"
 _SCHEMES = (SEMI_IMPLICIT, IMPLICIT)
-
-FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -201,22 +199,14 @@ def write_value_policy_csv(path, sol: HjbSolution, pen: ControlPenalty, states,
                            config_hash: str | None = None) -> None:
     """Tabulate value and feedback on given states as CSV.
 
-    Columns: state coordinates, value, one input per channel; floats carry
-    17 significant digits.
+    Columns: state coordinates, value, one input per channel.
     """
     states = np.asarray(states, dtype=float)
     V = value_on(sol, states)
     U = policy_on(sol, pen, states)
-    n_x = states.shape[1]
-    cols = [f"x_{i}" for i in range(1, n_x + 1)] + ["v"]
+    cols = [f"x_{i}" for i in range(1, states.shape[1] + 1)] + ["v"]
     cols += [f"u_{j}" for j in range(1, U.shape[1] + 1)]
-    with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(cols) + "\n")
-        for i in range(states.shape[0]):
-            row = list(states[i]) + [V[i]] + list(U[i])
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+    write_csv(path, cols, np.column_stack([states, V, U]), config_hash)
 
 
 def save_solution(path, sol: HjbSolution, config_hash: str | None = None) -> None:

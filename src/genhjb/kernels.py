@@ -118,10 +118,7 @@ def _check_points(X) -> np.ndarray:
 
 def gram_matrix(k: KernelSpec, X) -> np.ndarray:
     """Gram matrix K with K[i, j] = k(X[i], X[j]).  Symmetric, unit diagonal."""
-    X = _check_points(X)
-    if k.family == SQUARED_EXPONENTIAL:
-        return np.exp(-cdist(X, X, "sqeuclidean") / k.sigma**2)
-    return np.exp(-cdist(X, X, "euclidean") / k.sigma)
+    return cross_kernel_matrix(k, X, X)
 
 
 def cross_kernel_matrix(k: KernelSpec, X, Y) -> np.ndarray:
@@ -143,6 +140,27 @@ def cross_kernel_vector(k: KernelSpec, X, x) -> np.ndarray:
     return cross_kernel_matrix(k, X, x[None, :])[:, 0]
 
 
+def _pairwise(k: KernelSpec, X):
+    """Pairwise distances D and kernel values K for the target builders.
+
+    Squared exponential: D holds squared distances; the rest is None.
+    Smoothed Laplace: D holds distances, set to 1 on the pairs within the
+    smoothing radius (mask ``near``); R2near and Ksnear are those pairs'
+    squared distances and surrogate values, s the surrogate lengthscale.
+    """
+    if k.family == SQUARED_EXPONENTIAL:
+        D2 = cdist(X, X, "sqeuclidean")
+        return D2, np.exp(-D2 / k.sigma**2), None, None, None, None
+    R = cdist(X, X, "euclidean")
+    K = np.exp(-R / k.sigma)
+    near = R <= k.smoothing_radius
+    s = k.sigma / k.smoothing_lengthscale_ratio
+    R2near = R[near] ** 2
+    Ksnear = np.exp(-R2near / s**2)
+    R[near] = 1.0
+    return R, K, near, R2near, Ksnear, s
+
+
 def pairwise_grad_dot(k: KernelSpec, X, F) -> np.ndarray:
     """Matrix with entry (i, j) = <F[i], grad_x1 k(X[i], X[j])>.
 
@@ -155,18 +173,11 @@ def pairwise_grad_dot(k: KernelSpec, X, F) -> np.ndarray:
         raise ValueError(f"field shape {F.shape} does not match points {X.shape}")
     # <F_i, x_i - x_j> for all pairs, without forming the (N, N, n) tensor
     M = np.einsum("ij,ij->i", F, X)[:, None] - F @ X.T
-    if k.family == SQUARED_EXPONENTIAL:
-        K = np.exp(-cdist(X, X, "sqeuclidean") / k.sigma**2)
+    D, K, near, _, Ksnear, s = _pairwise(k, X)
+    if near is None:
         return -(2.0 / k.sigma**2) * M * K
-    R = cdist(X, X, "euclidean")
-    K = np.exp(-R / k.sigma)
-    near = R <= k.smoothing_radius
-    Rsafe = np.where(near, 1.0, R)
-    out = -(1.0 / k.sigma) * (M / Rsafe) * K
-    if np.any(near):
-        s = k.sigma / k.smoothing_lengthscale_ratio
-        Ks = np.exp(-(R**2) / s**2)
-        out[near] = (-(2.0 / s**2) * M * Ks)[near]
+    out = -(1.0 / k.sigma) * (M / D) * K
+    out[near] = -(2.0 / s**2) * M[near] * Ksnear
     return out
 
 
@@ -174,19 +185,11 @@ def pairwise_hess_trace(k: KernelSpec, X) -> np.ndarray:
     """Matrix with entry (i, j) = tr hess_x1 k(X[i], X[j])."""
     X = _check_points(X)
     n = X.shape[1]
-    if k.family == SQUARED_EXPONENTIAL:
-        D2 = cdist(X, X, "sqeuclidean")
-        K = np.exp(-D2 / k.sigma**2)
-        return K * (4.0 * D2 / k.sigma**4 - 2.0 * n / k.sigma**2)
-    R = cdist(X, X, "euclidean")
-    K = np.exp(-R / k.sigma)
-    near = R <= k.smoothing_radius
-    Rsafe = np.where(near, 1.0, R)
-    out = K * (1.0 / k.sigma**2 - (n - 1) / (k.sigma * Rsafe))
-    if np.any(near):
-        s = k.sigma / k.smoothing_lengthscale_ratio
-        Ks = np.exp(-(R**2) / s**2)
-        out[near] = (Ks * (4.0 * R**2 / s**4 - 2.0 * n / s**2))[near]
+    D, K, near, R2near, Ksnear, s = _pairwise(k, X)
+    if near is None:
+        return K * (4.0 * D / k.sigma**4 - 2.0 * n / k.sigma**2)
+    out = K * (1.0 / k.sigma**2 - (n - 1) / (k.sigma * D))
+    out[near] = Ksnear * (4.0 * R2near / s**4 - 2.0 * n / s**2)
     return out
 
 

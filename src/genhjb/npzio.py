@@ -1,4 +1,4 @@
-"""Byte-stable .npz archives.
+"""Byte-stable artefact files: .npz archives and CSV tables.
 
 ``np.savez`` stamps the current time into the zip members, so two saves of
 identical arrays differ.  Here the members are written with a fixed
@@ -6,6 +6,10 @@ timestamp and no compression, which makes the file a pure function of its
 contents while staying loadable by ``np.load``.
 
 Non-array metadata rides along as a JSON string stored under ``meta_json``.
+
+CSV tables render every number with ``FLOAT_FMT``, 17 significant digits,
+so floats round-trip bit-exactly and integers print as integers.  An
+optional config hash goes in a leading ``# config_hash=`` comment.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import zipfile
 import numpy as np
 
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+FLOAT_FMT = "%.17g"
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
@@ -37,3 +42,13 @@ def load_arrays(path):
     if "meta_json" in out:
         meta = json.loads(out.pop("meta_json").item())
     return out, meta
+
+
+def write_csv(path, header, rows, config_hash: str | None = None) -> None:
+    """Write a header line and one line of numbers per row."""
+    with open(path, "w", newline="") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")

@@ -54,6 +54,17 @@ def linear_2d_system(u_max: float = 5.0, epsilon: float = 0.01) -> ControlAffine
 _PEND = dict(mass=1.0, gravity=9.81, length=1.0, damping=0.1, inertia=0.0842)
 
 
+def _pendulum_physics(mass, gravity, length, damping, inertia):
+    """Effective inertia J and the zero-torque acceleration omega'(sin t, omega)."""
+    lc = 0.5 * length
+    J = inertia + mass * lc**2
+    mglc = mass * gravity * lc
+
+    def acceleration(s, w):
+        return (mglc * s - damping * w) / J
+    return J, acceleration
+
+
 def pendulum_system(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _PEND["mass"],
                     gravity: float = _PEND["gravity"], length: float = _PEND["length"],
                     damping: float = _PEND["damping"],
@@ -62,13 +73,11 @@ def pendulum_system(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _PE
 
     J omega' = u - damping * omega + m g lc sin(theta), theta = 0 upright.
     """
-    lc = 0.5 * length
-    J = inertia + mass * lc**2
-    mglc = mass * gravity * lc
+    J, acceleration = _pendulum_physics(mass, gravity, length, damping, inertia)
 
     def drift(x):
         c, s, w = x
-        return np.array([-s * w, c * w, (mglc * s - damping * w) / J])
+        return np.array([-s * w, c * w, acceleration(s, w)])
 
     G = np.array([[0.0], [0.0], [1.0 / J]])
     return ControlAffineSystem(
@@ -94,13 +103,11 @@ def pendulum_intrinsic_system(epsilon: float = 0.02, u_max: float = 1.5,
     drift off the circle is large enough to distort both the policy input and
     the measured angle.
     """
-    lc = 0.5 * length
-    J = inertia + mass * lc**2
-    mglc = mass * gravity * lc
+    J, acceleration = _pendulum_physics(mass, gravity, length, damping, inertia)
 
     def drift(x):
         t, w = x
-        return np.array([w, (mglc * np.sin(t) - damping * w) / J])
+        return np.array([w, acceleration(np.sin(t), w)])
 
     G = np.array([[0.0], [1.0 / J]])
     return ControlAffineSystem(
@@ -142,6 +149,34 @@ _CART = dict(cart_mass=0.5, pole_mass=0.5, length=1.0, cart_damping=0.05,
              rot_damping=0.05, gravity=9.81, inertia=0.0513)
 
 
+def _cartpole_physics(cart_mass, pole_mass, length, cart_damping, rot_damping,
+                      gravity, inertia):
+    """Cart and pole accelerations (p'', omega') as functions of (cos t, sin t).
+
+    Returns ``free(c, s, v, w)``, the accelerations at zero force, and
+    ``per_force(c)``, their change per unit force: Cramer's rule on the
+    mass-matrix system in :func:`cartpole_system`'s docstring.
+    """
+    lc = 0.5 * length
+    m11 = cart_mass + pole_mass
+    m22 = inertia + pole_mass * lc**2
+    mlc = pole_mass * lc
+    mglc = pole_mass * gravity * lc
+
+    def free(c, s, v, w):
+        m12 = mlc * c
+        det = m11 * m22 - m12 * m12
+        r1 = mlc * s * w * w - cart_damping * v
+        r2 = mglc * s - rot_damping * w
+        return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+
+    def per_force(c):
+        m12 = mlc * c
+        det = m11 * m22 - m12 * m12
+        return m22 / det, -m12 / det
+    return free, per_force
+
+
 def cartpole_system(epsilon: float = 0.01, u_max: float = 7.0,
                     cart_mass: float = _CART["cart_mass"],
                     pole_mass: float = _CART["pole_mass"],
@@ -159,33 +194,17 @@ def cartpole_system(epsilon: float = 0.01, u_max: float = 7.0,
 
     with theta = 0 the upright pole.
     """
-    lc = 0.5 * length
-    m11 = cart_mass + pole_mass
-    m22 = inertia + pole_mass * lc**2
-    mlc = pole_mass * lc
-    mglc = pole_mass * gravity * lc
-
-    def _accelerations(x, u):
-        p, v, c, s, w = x
-        m12 = mlc * c
-        det = m11 * m22 - m12 * m12
-        r1 = u + mlc * s * w * w - cart_damping * v
-        r2 = mglc * s - rot_damping * w
-        acc_p = (m22 * r1 - m12 * r2) / det
-        acc_w = (m11 * r2 - m12 * r1) / det
-        return acc_p, acc_w
+    free, per_force = _cartpole_physics(cart_mass, pole_mass, length, cart_damping,
+                                        rot_damping, gravity, inertia)
 
     def drift(x):
         p, v, c, s, w = x
-        acc_p, acc_w = _accelerations(x, 0.0)
+        acc_p, acc_w = free(c, s, v, w)
         return np.array([v, acc_p, -s * w, c * w, acc_w])
 
     def input_map(x):
-        c = x[2]
-        m12 = mlc * c
-        det = m11 * m22 - m12 * m12
-        # G = Minv @ [1, 0] lifted into the embedded state
-        return np.array([[0.0], [m22 / det], [0.0], [0.0], [-m12 / det]])
+        gp, gw = per_force(x[2])
+        return np.array([[0.0], [gp], [0.0], [0.0], [gw]])
 
     return ControlAffineSystem(
         name="cartpole",
@@ -208,29 +227,17 @@ def cartpole_intrinsic_system(epsilon: float = 0.01, u_max: float = 7.0,
                               gravity: float = _CART["gravity"],
                               inertia: float = _CART["inertia"]) -> ControlAffineSystem:
     """The same cartpole in physical coordinates (p, v, theta, omega)."""
-    lc = 0.5 * length
-    m11 = cart_mass + pole_mass
-    m22 = inertia + pole_mass * lc**2
-    mlc = pole_mass * lc
-    mglc = pole_mass * gravity * lc
-
-    def _accelerations(x, u):
-        p, v, t, w = x
-        c, s = np.cos(t), np.sin(t)
-        m12 = mlc * c
-        det = m11 * m22 - m12 * m12
-        r1 = u + mlc * s * w * w - cart_damping * v
-        r2 = mglc * s - rot_damping * w
-        return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+    free, per_force = _cartpole_physics(cart_mass, pole_mass, length, cart_damping,
+                                        rot_damping, gravity, inertia)
 
     def drift(x):
-        acc_p, acc_w = _accelerations(x, 0.0)
-        return np.array([x[1], acc_p, x[3], acc_w])
+        p, v, t, w = x
+        acc_p, acc_w = free(np.cos(t), np.sin(t), v, w)
+        return np.array([v, acc_p, w, acc_w])
 
     def input_map(x):
-        m12 = mlc * np.cos(x[2])
-        det = m11 * m22 - m12 * m12
-        return np.array([[0.0], [m22 / det], [0.0], [-m12 / det]])
+        gp, gw = per_force(np.cos(x[2]))
+        return np.array([[0.0], [gp], [0.0], [gw]])
 
     return ControlAffineSystem(
         name="cartpole-intrinsic",
@@ -300,6 +307,9 @@ class Benchmark:
     (theta, omega) form; otherwise it is `system` itself.  Policies and
     stage costs always act on embedded states, so rollouts of `sim_system`
     go through `grid.embed` / `grid.embed_point` first.
+
+    `linear` holds (A, B, Q) for the linear plants, whose stage cost is
+    x'Qx; it is None for the others.
     """
 
     system: ControlAffineSystem
@@ -307,55 +317,70 @@ class Benchmark:
     stage_cost: Callable
     pen: ControlPenalty
     sim_system: ControlAffineSystem
+    linear: tuple | None = None
+
+    def reference_policy(self) -> Callable:
+        """LQR feedback with R = diag(pen.weights), clipped to the penalty's box."""
+        if self.linear is None:
+            raise ConfigError(
+                f"mode needs a closed-form reference; system {self.system.name!r} has none"
+            )
+        A, B, Q = self.linear
+        return lqr_feedback(A, B, Q, np.diag(self.pen.weights),
+                            u_min=self.pen.u_min, u_max=self.pen.u_max)
 
 
-def _linear_1d_benchmark(epsilon, u_max, system_params, cost_params):
-    u_max = 5.0 if u_max is None else u_max
-    sys_ = linear_1d_system(u_max=u_max, epsilon=epsilon, **system_params)
+def _linear_maps(sys_: ControlAffineSystem):
+    """(A, B) of a linear plant; A's columns are the drift at the unit vectors."""
+    A = np.column_stack([sys_.drift(e) for e in np.eye(sys_.n_x)])
+    return A, sys_.input_map(np.zeros(sys_.n_x))
+
+
+def _linear_1d_benchmark(system_params, cost_params):
+    sys_ = linear_1d_system(**system_params)
     q_weight = cost_params.pop("q_weight", 1.5)
     r_weight = cost_params.pop("r_weight", 0.5)
     _reject_leftover(cost_params)
     grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(200,))
     return Benchmark(sys_, grid, lambda x: q_weight * float(x[0]) ** 2,
-                     symmetric_box_penalty([r_weight], u_max), sys_)
+                     symmetric_box_penalty([r_weight], sys_.u_max), sys_,
+                     linear=(*_linear_maps(sys_), [[q_weight]]))
 
 
-def _linear_2d_benchmark(epsilon, u_max, system_params, cost_params):
-    u_max = 5.0 if u_max is None else u_max
-    sys_ = linear_2d_system(u_max=u_max, epsilon=epsilon, **system_params)
+def _linear_2d_benchmark(system_params, cost_params):
+    sys_ = linear_2d_system(**system_params)
     q_weight = cost_params.pop("q_weight", 1.0)
     r_weight = cost_params.pop("r_weight", 0.5)
     _reject_leftover(cost_params)
     grid = StateGridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), counts=(30, 30))
     return Benchmark(sys_, grid, lambda x: q_weight * float(x @ x),
-                     symmetric_box_penalty([r_weight], u_max), sys_)
+                     symmetric_box_penalty([r_weight], sys_.u_max), sys_,
+                     linear=(*_linear_maps(sys_), q_weight * np.eye(2)))
 
 
-def _pendulum_benchmark(epsilon, u_max, system_params, cost_params):
-    u_max = 1.5 if u_max is None else u_max
-    sys_ = pendulum_system(epsilon=epsilon, u_max=u_max, **system_params)
-    sim = pendulum_intrinsic_system(epsilon=epsilon, u_max=u_max, **system_params)
+def _pendulum_benchmark(system_params, cost_params):
+    sys_ = pendulum_system(**system_params)
+    sim = pendulum_intrinsic_system(**system_params)
     r_weight = cost_params.pop("r_weight", 0.5)
     cost = pendulum_stage_cost(**cost_params)
     return Benchmark(sys_, pendulum_default_grid(), cost,
-                     symmetric_box_penalty([r_weight], u_max), sim)
+                     symmetric_box_penalty([r_weight], sys_.u_max), sim)
 
 
-def _cartpole_benchmark(epsilon, u_max, system_params, cost_params):
-    u_max = 7.0 if u_max is None else u_max
-    sys_ = cartpole_system(epsilon=epsilon, u_max=u_max, **system_params)
-    sim = cartpole_intrinsic_system(epsilon=epsilon, u_max=u_max, **system_params)
+def _cartpole_benchmark(system_params, cost_params):
+    sys_ = cartpole_system(**system_params)
+    sim = cartpole_intrinsic_system(**system_params)
     r_weight = cost_params.pop("r_weight", 0.2)
     cost = cartpole_stage_cost(**cost_params)
     return Benchmark(sys_, cartpole_default_grid(), cost,
-                     symmetric_box_penalty([r_weight], u_max), sim)
+                     symmetric_box_penalty([r_weight], sys_.u_max), sim)
 
 
 _BENCHMARKS = {
-    "linear-1d": (_linear_1d_benchmark, 0.01),
-    "linear-2d": (_linear_2d_benchmark, 0.01),
-    "pendulum": (_pendulum_benchmark, 0.02),
-    "cartpole": (_cartpole_benchmark, 0.01),
+    "linear-1d": _linear_1d_benchmark,
+    "linear-2d": _linear_2d_benchmark,
+    "pendulum": _pendulum_benchmark,
+    "cartpole": _cartpole_benchmark,
 }
 
 BENCHMARK_NAMES = tuple(sorted(_BENCHMARKS))
@@ -369,12 +394,21 @@ def _reject_leftover(params):
 def make_benchmark(name: str, epsilon: float | None = None, u_max: float | None = None,
                    system_params: dict | None = None,
                    cost_params: dict | None = None) -> Benchmark:
-    """Instantiate a named benchmark with optional parameter overrides."""
+    """Instantiate a named benchmark with optional parameter overrides.
+
+    Parameters left as None take the system constructor's defaults.
+    """
     if name not in _BENCHMARKS:
         raise ConfigError(f"unknown system {name!r}; expected one of {BENCHMARK_NAMES}")
-    build, default_eps = _BENCHMARKS[name]
-    eps = default_eps if epsilon is None else float(epsilon)
+    params = dict(system_params or {})
+    eps = None if epsilon is None else float(epsilon)
+    for key, val in (("epsilon", eps), ("u_max", u_max)):
+        if key in params:
+            raise ConfigError(f"bad parameters for system {name!r}: {key} is not a "
+                              f"system parameter")
+        if val is not None:
+            params[key] = val
     try:
-        return build(eps, u_max, dict(system_params or {}), dict(cost_params or {}))
+        return _BENCHMARKS[name](params, dict(cost_params or {}))
     except TypeError as exc:
         raise ConfigError(f"bad parameters for system {name!r}: {exc}") from None

@@ -109,6 +109,22 @@ def test_eval_sweep(pipeline, capsys):
     assert len(lines) == 4
 
 
+def test_reference_uses_penalty_block_weights(tmp_path):
+    # scalar Riccati 2P - P^2 / R + q = 0 with a = b = 1, q = 1.5, R = 2:
+    # P = 2 + sqrt(7), u(1) = -P / R
+    doc = _config(tmp_path, penalty={"weights": [2.0], "u_max": 5.0})
+    reference = cli.ExperimentConfig(doc).benchmark().reference_policy()
+    assert reference([1.0]) == pytest.approx([-(2.0 + 7.0**0.5) / 2.0], rel=1e-12)
+
+
+def test_reference_needs_a_linear_system(tmp_path, capsys):
+    doc = _config(tmp_path, system={"name": "pendulum"}, cost={"params": {}},
+                  grid=None)
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["eval", "--mode", "sweep", "--config", cfg]) == 2
+    assert "closed-form reference" in capsys.readouterr().err
+
+
 def test_dataset_header_hash_matches_config(pipeline):
     from genhjb.cli import load_config
     cfg = load_config(pipeline["cfg"])

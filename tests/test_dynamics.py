@@ -61,6 +61,41 @@ def test_embedded_and_intrinsic_cartpole_agree():
         assert dE[4] == pytest.approx(dI[3], rel=1e-12)
 
 
+def test_pendulum_matches_hand_formula():
+    # J omega' = u - b omega + m g lc sin(theta), J = I + m lc^2, lc = l / 2,
+    # written out here independently of systems.py
+    m, g, l, b, inertia = 1.3, 9.7, 0.8, 0.2, 0.05
+    J = inertia + m * (l / 2) ** 2
+    params = dict(mass=m, gravity=g, length=l, damping=b, inertia=inertia)
+    sysE, sysI = pendulum_system(**params), pendulum_intrinsic_system(**params)
+    rng = np.random.default_rng(11)
+    for th, w, u in rng.uniform(-1, 1, size=(200, 3)) * [np.pi, 9.0, 2.0]:
+        want = (u - b * w + m * g * (l / 2) * np.sin(th)) / J
+        dE = drift_under_input(sysE, [np.cos(th), np.sin(th), w], [u])
+        dI = drift_under_input(sysI, [th, w], [u])
+        assert dE[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert dI == pytest.approx([w, want], rel=1e-12, abs=1e-12)
+
+
+def test_cartpole_matches_mass_matrix_solve():
+    # the 2x2 system in cartpole_system's docstring, solved by LAPACK
+    M, m, l, k, b, g, inertia = 0.9, 0.3, 1.2, 0.1, 0.02, 9.8, 0.04
+    lc = l / 2
+    params = dict(cart_mass=M, pole_mass=m, length=l, cart_damping=k,
+                  rot_damping=b, gravity=g, inertia=inertia)
+    sysE, sysI = cartpole_system(**params), cartpole_intrinsic_system(**params)
+    rng = np.random.default_rng(12)
+    for p, v, th, w, u in rng.uniform(-1, 1, size=(200, 5)) * [2, 3, np.pi, 8, 7]:
+        c, s = np.cos(th), np.sin(th)
+        mass = np.array([[M + m, m * lc * c], [m * lc * c, inertia + m * lc**2]])
+        rhs = np.array([u + m * lc * s * w**2 - k * v, m * g * lc * s - b * w])
+        acc_p, acc_w = np.linalg.solve(mass, rhs)
+        dE = drift_under_input(sysE, [p, v, c, s, w], [u])
+        dI = drift_under_input(sysI, [p, v, th, w], [u])
+        assert dE == pytest.approx([v, acc_p, -s * w, c * w, acc_w], rel=1e-10, abs=1e-12)
+        assert dI == pytest.approx([v, acc_p, w, acc_w], rel=1e-10, abs=1e-12)
+
+
 def test_grid_points_and_embedding():
     grid = StateGridSpec(bounds=((-1.0, 1.0), (0.0, 2.0)), counts=(3, 2))
     pts = grid.grid_points()
