@@ -22,7 +22,7 @@ from . import evaluation, hjb, systems
 from .dynamics import (StateGridSpec, accumulated_cost, generate_dataset,
                        read_dataset, simulate_closed_loop, write_dataset)
 from .errors import (ConditioningError, ConfigError, DivergenceError,
-                     NumericalDomainError, StepSizeError)
+                     NumericalDomainError, StepSizeError, exact_int)
 from .generator import fit, load_model, min_eig_estimate, save_model
 from .hjb import HjbConfig, load_solution, save_solution, solve_fvp
 from .kernels import KernelSpec
@@ -30,7 +30,7 @@ from .npzio import write_csv
 from .penalty import ControlPenalty
 
 _TOP_KEYS = {"system", "cost", "grid", "kernel", "penalty", "gamma", "dt",
-             "horizon_steps", "scheme", "label_mode", "fd_step", "seed",
+             "horizon_steps", "label_mode", "fd_step", "seed",
              "out_dir", "eval"}
 _SYSTEM_KEYS = {"name", "epsilon", "u_max", "params"}
 _COST_KEYS = {"params"}
@@ -62,6 +62,13 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
+
+
+def _list(opts: dict, key: str, where: str) -> list:
+    value = opts[key]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
+    return value
 
 
 class ExperimentConfig:
@@ -129,11 +136,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} is required")
         self.gamma = float(raw["gamma"])
         self.dt = float(raw["dt"])
-        self.horizon_steps = int(raw["horizon_steps"])
-        self.scheme = str(raw.get("scheme", hjb.SEMI_IMPLICIT))
-        self.label_mode = str(raw.get("label_mode", "analytic"))
-        self.fd_step = float(raw.get("fd_step", 1e-4))
-        self.seed = int(raw.get("seed", 0))
+        self.horizon_steps = exact_int(raw["horizon_steps"], "horizon_steps")
+        # only the label keys the YAML sets; the defaults live in dynamics
+        self.labels = {k: conv(raw[k]) for k, conv in
+                       (("label_mode", str), ("fd_step", float)) if k in raw}
+        self.seed = exact_int(raw.get("seed", 0), "seed")
         self.out_dir = str(raw.get("out_dir", "."))
 
         eval_cfg = _require_mapping(raw.get("eval"), "eval")
@@ -164,8 +171,7 @@ class ExperimentConfig:
 
     def hjb_config(self) -> HjbConfig:
         try:
-            return HjbConfig(dt=self.dt, horizon_steps=self.horizon_steps,
-                             scheme=self.scheme)
+            return HjbConfig(dt=self.dt, horizon_steps=self.horizon_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -212,8 +218,7 @@ def _check_hash(kind: str, artifact_hash, cfg: ExperimentConfig) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     bench = cfg.benchmark()
-    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost,
-                          label_mode=cfg.label_mode, fd_step=cfg.fd_step)
+    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost, **cfg.labels)
     path = args.dataset or _out_path(cfg, "dataset.csv")
     write_dataset(path, ds, config_hash=cfg.config_hash)
     print(f"wrote {path}: N={ds.n_points} n_x={ds.n_x} n_u={ds.n_u}")
@@ -270,6 +275,15 @@ def _mode_cfg(cfg: ExperimentConfig, mode: str) -> dict:
     return dict(cfg.eval_cfg.get(mode, {}))
 
 
+def _scoring_box(opts: dict, mode: str, n_x: int):
+    """Sampling box and sample count that rmse and sweep score policies on."""
+    where = f"eval.{mode}"
+    lo = _list(opts, "region_lo", where) if "region_lo" in opts else [-1.0] * n_x
+    hi = _list(opts, "region_hi", where) if "region_hi" in opts else [1.0] * n_x
+    n_points = exact_int(opts.get("n_points", 1000), f"{where}.n_points")
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), n_points
+
+
 def _policies(sol, bench, smooth: bool):
     if smooth:
         return lambda x: hjb.smoothed_policy_at(sol, bench.pen, x)
@@ -294,13 +308,12 @@ def cmd_eval(args) -> int:
     opts = _mode_cfg(cfg, mode)
 
     if mode == "rmse":
-        sol = _load_solution_pair(cfg, args)
+        lo, hi, n_points = _scoring_box(opts, mode, bench.system.n_x)
         reference = bench.reference_policy()
-        lo = np.asarray(opts.get("region_lo", [-1.0] * bench.system.n_x), dtype=float)
-        hi = np.asarray(opts.get("region_hi", [1.0] * bench.system.n_x), dtype=float)
+        sol = _load_solution_pair(cfg, args)
         rmse = evaluation.rmse_to_reference(
             _policies(sol, bench, smooth=False), reference, lo, hi,
-            n_points=int(opts.get("n_points", 1000)), seed=cfg.seed,
+            n_points=n_points, seed=cfg.seed,
         )
         out = _out_path(cfg, "summary.json")
         evaluation.write_summary_json(out, {"mode": "rmse", "rmse": rmse},
@@ -338,19 +351,19 @@ def cmd_eval(args) -> int:
         return 0
 
     if mode == "cost-bench":
-        sol = _load_solution_pair(cfg, args)
         for key in ("init_lo", "init_hi", "duration", "control_hz", "n_rollouts"):
             if key not in opts:
                 raise ConfigError(f"eval.cost-bench.{key} is required")
         spec = evaluation.CostBenchSpec(
             system=bench.sim_system, stage_cost=_sim_stage_cost(bench),
-            pen=bench.pen, init_lo=tuple(opts["init_lo"]),
-            init_hi=tuple(opts["init_hi"]), duration=float(opts["duration"]),
-            control_hz=float(opts["control_hz"]),
-            n_rollouts=int(opts["n_rollouts"]),
+            pen=bench.pen, init_lo=tuple(_list(opts, "init_lo", "eval.cost-bench")),
+            init_hi=tuple(_list(opts, "init_hi", "eval.cost-bench")),
+            duration=float(opts["duration"]), control_hz=float(opts["control_hz"]),
+            n_rollouts=exact_int(opts["n_rollouts"], "eval.cost-bench.n_rollouts"),
             sim_dt=float(opts.get("sim_dt", 1e-3)), seed=cfg.seed,
             noise=bool(opts.get("noise", False)),
         )
+        sol = _load_solution_pair(cfg, args)
         policy = _sim_policy(sol, bench, smooth=bool(opts.get("smooth", True)))
         result = evaluation.run_cost_bench(spec, policy)
         payload = {"mode": "cost-bench", "mean": result["mean"], "std": result["std"],
@@ -373,19 +386,17 @@ def cmd_eval(args) -> int:
     for key in ("variable", "values"):
         if key not in opts:
             raise ConfigError(f"eval.sweep.{key} is required")
+    lo, hi, n_points = _scoring_box(opts, mode, bench.system.n_x)
     reference = bench.reference_policy()
     base = evaluation.PipelineSpec(
         system=bench.system, grid=bench.grid, stage_cost=bench.stage_cost,
         pen=bench.pen, kernel=cfg.kernel, gamma=cfg.gamma, dt=cfg.dt,
-        horizon_steps=cfg.horizon_steps,
-        label_mode=cfg.label_mode, fd_step=cfg.fd_step, scheme=cfg.scheme,
+        horizon_steps=cfg.horizon_steps, **cfg.labels,
     )
-    lo = np.asarray(opts.get("region_lo", [-1.0] * bench.system.n_x), dtype=float)
-    hi = np.asarray(opts.get("region_hi", [1.0] * bench.system.n_x), dtype=float)
     spec = evaluation.SweepSpec(
         base=base, variable=str(opts["variable"]),
-        values=tuple(opts["values"]), reference=reference, region_lo=lo,
-        region_hi=hi, n_points=int(opts.get("n_points", 1000)), seed=cfg.seed,
+        values=tuple(_list(opts, "values", "eval.sweep")), reference=reference,
+        region_lo=lo, region_hi=hi, n_points=n_points, seed=cfg.seed,
     )
     rows = evaluation.run_sweep(spec, jobs=args.jobs)
     out = _out_path(cfg, "sweep.csv")

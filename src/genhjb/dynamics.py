@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 import scipy.stats
 
-from .errors import ConfigError, DivergenceError, NumericalDomainError
+from .errors import ConfigError, DivergenceError, NumericalDomainError, exact_int
 from .npzio import write_csv
 
 
@@ -67,28 +67,22 @@ def drift_under_input(system: ControlAffineSystem, x, u) -> np.ndarray:
     return out
 
 
-def flow(system: ControlAffineSystem, x, u, t: float, substeps: int = 1) -> np.ndarray:
+def flow(system: ControlAffineSystem, x, u, t: float) -> np.ndarray:
     """Integrate the noiseless dynamics under constant input u for time t.
 
-    Classic fourth-order Runge-Kutta; ``t`` may be negative.
+    One classic fourth-order Runge-Kutta step; ``t`` may be negative.
     """
     x = _state(system, x)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    h = t / substeps
-    G = system.input_map
 
     def rhs(z):
-        return system.drift(z) + G(z) @ u
+        return system.drift(z) + system.input_map(z) @ u
 
-    for _ in range(substeps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * t * k1)
+    k3 = rhs(x + 0.5 * t * k2)
+    k4 = rhs(x + t * k3)
+    return x + (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ class StateGridSpec:
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(exact_int(c, "grid counts") for c in self.counts)
         if len(bounds) != len(counts):
             raise ValueError("bounds and counts must have equal length")
         for lo, hi in bounds:
@@ -115,7 +109,7 @@ class StateGridSpec:
                 raise ValueError(f"bad bound ({lo}, {hi})")
         if any(c < 1 for c in counts):
             raise ValueError("grid counts must be >= 1")
-        angle_dims = tuple(sorted(int(d) for d in self.angle_dims))
+        angle_dims = tuple(sorted(exact_int(d, "angle_dims") for d in self.angle_dims))
         if any(d < 0 or d >= len(bounds) for d in angle_dims):
             raise ValueError("angle_dims out of range")
         if len(set(angle_dims)) != len(angle_dims):
@@ -224,7 +218,6 @@ def generate_dataset(
     stage_cost: Callable[[np.ndarray], float],
     label_mode: str = "analytic",
     fd_step: float = 1e-4,
-    fd_substeps: int = 1,
 ) -> GeneratorDataset:
     """Sample drift labels and stage costs on the grid.
 
@@ -238,8 +231,7 @@ def generate_dataset(
             f"grid embeds into dimension {grid.n_x} but system has n_x={system.n_x}"
         )
     return dataset_from_states(system, grid.states(), stage_cost,
-                               label_mode=label_mode, fd_step=fd_step,
-                               fd_substeps=fd_substeps)
+                               label_mode=label_mode, fd_step=fd_step)
 
 
 def dataset_from_states(
@@ -248,7 +240,6 @@ def dataset_from_states(
     stage_cost: Callable[[np.ndarray], float],
     label_mode: str = "analytic",
     fd_step: float = 1e-4,
-    fd_substeps: int = 1,
 ) -> GeneratorDataset:
     """Like generate_dataset but on an arbitrary (N, n_x) set of states.
 
@@ -270,8 +261,8 @@ def dataset_from_states(
             if label_mode == "analytic":
                 lab = drift_under_input(system, X[i], u)
             else:
-                fwd = flow(system, X[i], u, fd_step, fd_substeps)
-                bwd = flow(system, X[i], u, -fd_step, fd_substeps)
+                fwd = flow(system, X[i], u, fd_step)
+                bwd = flow(system, X[i], u, -fd_step)
                 lab = (fwd - bwd) / (2.0 * fd_step)
             if not np.all(np.isfinite(lab)):
                 raise NumericalDomainError(

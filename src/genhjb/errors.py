@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check.
 
 Callers that drive full pipelines (CLI, sweeps) catch these to distinguish
 bad inputs from numerical breakdown from I/O trouble.
@@ -7,6 +7,17 @@ bad inputs from numerical breakdown from I/O trouble.
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown keys, malformed values, bad shapes."""
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` as an int; a fraction is rejected instead of truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 class ConditioningError(RuntimeError):

@@ -19,7 +19,7 @@ from .dynamics import (ControlAffineSystem, StateGridSpec, accumulated_cost,
 from .errors import (ConditioningError, ConfigError, DivergenceError,
                      NumericalDomainError, StepSizeError)
 from .generator import fit
-from .hjb import HjbConfig, HjbSolution, SEMI_IMPLICIT, policy_at, solve_fvp
+from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
 from .kernels import KernelSpec
 from .npzio import write_csv
 from .penalty import ControlPenalty
@@ -39,21 +39,16 @@ class PipelineSpec:
     gamma: float
     dt: float
     horizon_steps: int
-    epsilon: float | None = None  # None: use the system's diffusion strength
     label_mode: str = "analytic"
     fd_step: float = 1e-4
-    scheme: str = SEMI_IMPLICIT
-
-    def fit_epsilon(self) -> float:
-        return self.system.epsilon if self.epsilon is None else self.epsilon
 
 
 def run_pipeline(spec: PipelineSpec) -> HjbSolution:
     """Generate data, fit the generator, solve the final-value problem."""
     ds = generate_dataset(spec.system, spec.grid, spec.stage_cost,
                           label_mode=spec.label_mode, fd_step=spec.fd_step)
-    model = fit(ds, spec.kernel, spec.gamma, spec.fit_epsilon())
-    config = HjbConfig(dt=spec.dt, horizon_steps=spec.horizon_steps, scheme=spec.scheme)
+    model = fit(ds, spec.kernel, spec.gamma, spec.system.epsilon)
+    config = HjbConfig(dt=spec.dt, horizon_steps=spec.horizon_steps)
     return solve_fvp(model, spec.pen, config)
 
 

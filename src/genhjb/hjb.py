@@ -7,14 +7,15 @@ the value function's coefficient vector v(t) solves the backward ODE
 
 integrated from the zero final condition over the horizon.  Here
 lambda_j(v) at the data points is K B-hat_j v, and D_r is the box-penalty
-dual from :mod:`genhjb.penalty` applied row-wise.  The default scheme treats
-the linear part implicitly and the control nonlinearity explicitly:
+dual from :mod:`genhjb.penalty` applied row-wise.  Each step is
+implicit-explicit (IMEX; Ascher, Ruuth & Spiteri, 1997): the linear part
+is taken implicitly and the control nonlinearity explicitly,
 
-    (I - dt A-hat) w_{m+1} = w_m + dt (q + d(w_m)).
+    (I - dt A-hat) w_{m+1} = w_m + dt (q + d(w_m)),
 
-The fully implicit variant iterates the same step to a fixed point of
-d(w_{m+1}).  Time is reversed, so step m holds the value of a horizon of
-m dt and the last iterate is the initial-time coefficient vector v0.
+so one LU factorization serves every step.  Time is reversed, so step m
+holds the value of a horizon of m dt and the last iterate is the
+initial-time coefficient vector v0.
 """
 from __future__ import annotations
 
@@ -25,14 +26,10 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels, penalty as penalty_mod
-from .errors import DivergenceError, StepSizeError
+from .errors import DivergenceError, StepSizeError, exact_int
 from .generator import GeneratorModel
 from .npzio import load_arrays, save_arrays, write_csv
 from .penalty import ControlPenalty
-
-SEMI_IMPLICIT = "semi-implicit"
-IMPLICIT = "implicit"
-_SCHEMES = (SEMI_IMPLICIT, IMPLICIT)
 
 
 @dataclass(frozen=True)
@@ -45,23 +42,15 @@ class HjbConfig:
 
     dt: float
     horizon_steps: int
-    scheme: str = SEMI_IMPLICIT
     record_trajectory: bool = False
-    fixed_point_tol: float = 1e-10
-    fixed_point_max_iter: int = 50
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if int(self.horizon_steps) < 1:
+        steps = exact_int(self.horizon_steps, "horizon_steps")
+        if steps < 1:
             raise ValueError("horizon_steps must be >= 1")
-        object.__setattr__(self, "horizon_steps", int(self.horizon_steps))
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        if not (np.isfinite(self.fixed_point_tol) and self.fixed_point_tol > 0):
-            raise ValueError("fixed_point_tol must be positive")
-        if int(self.fixed_point_max_iter) < 1:
-            raise ValueError("fixed_point_max_iter must be >= 1")
+        object.__setattr__(self, "horizon_steps", steps)
 
 
 @dataclass
@@ -110,41 +99,20 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
         dr = penalty_mod.dual_value(pen, Lam)
         return scipy.linalg.cho_solve(model.kgamma_cho, dr)
 
-    def step(rhs, m):
-        if not np.all(np.isfinite(rhs)):
-            raise DivergenceError(f"HJB iterate diverged at step {m}", step=m)
-        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-
+    # lu_solve returns a fresh array each step, so the trajectory can keep
+    # the iterates themselves; a non-finite rhs gives a non-finite iterate
     w = np.zeros(N)
-    traj = [w.copy()] if config.record_trajectory else None
+    traj = [w] if config.record_trajectory else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(config.horizon_steps):
-            base = w + dt * model.q_coeff
-            if pen is None:
-                w_next = step(base, m)
-            elif config.scheme == SEMI_IMPLICIT:
-                w_next = step(base + dt * d_coeff(w), m)
-            else:
-                z = step(base + dt * d_coeff(w), m)
-                converged = False
-                for _ in range(config.fixed_point_max_iter):
-                    z_next = step(base + dt * d_coeff(z), m)
-                    delta = np.max(np.abs(z_next - z))
-                    z = z_next
-                    if delta <= config.fixed_point_tol:
-                        converged = True
-                        break
-                if not converged:
-                    raise DivergenceError(
-                        f"implicit step {m} did not reach a fixed point in "
-                        f"{config.fixed_point_max_iter} iterations", step=m,
-                    )
-                w_next = z
-            if not np.all(np.isfinite(w_next)):
+            rhs = w + dt * model.q_coeff
+            if pen is not None:
+                rhs = rhs + dt * d_coeff(w)
+            w = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            if not np.all(np.isfinite(w)):
                 raise DivergenceError(f"HJB iterate diverged at step {m}", step=m)
-            w = w_next
             if traj is not None:
-                traj.append(w.copy())
+                traj.append(w)
 
     bv0 = np.stack([model.B_hat[j] @ w for j in range(model.n_u)], axis=0)
     return HjbSolution(
@@ -181,18 +149,14 @@ def policy_on(sol: HjbSolution, pen: ControlPenalty, X) -> np.ndarray:
     return penalty_mod.u_star(pen, (sol.bv0 @ Kc).T)
 
 
-def smoothed_policy_at(sol: HjbSolution, pen: ControlPenalty, x,
-                       u_max=None) -> np.ndarray:
+def smoothed_policy_at(sol: HjbSolution, pen: ControlPenalty, x) -> np.ndarray:
     """Arctan-mollified feedback, (2 umax / pi) arctan(u(x)) per channel.
 
     Keeps the sign and saturation level of the raw policy but removes the
-    bang-bang switching that chatters under zero-order hold.  ``u_max``
-    defaults to the penalty's upper box bound.
+    bang-bang switching that chatters under zero-order hold.  ``umax`` is
+    the penalty's upper box bound.
     """
-    u = policy_at(sol, pen, x)
-    umax = pen.u_max if u_max is None else np.broadcast_to(
-        np.asarray(u_max, dtype=float), u.shape)
-    return (2.0 * umax / np.pi) * np.arctan(u)
+    return (2.0 * pen.u_max / np.pi) * np.arctan(policy_at(sol, pen, x))
 
 
 def write_value_policy_csv(path, sol: HjbSolution, pen: ControlPenalty, states,
@@ -215,7 +179,6 @@ def save_solution(path, sol: HjbSolution, config_hash: str | None = None) -> Non
         "kind": "hjb-solution",
         "dt": sol.config.dt,
         "horizon_steps": sol.config.horizon_steps,
-        "scheme": sol.config.scheme,
         "config_hash": config_hash,
     }
     arrays = {"v0": sol.v0, "bv0": sol.bv0}
@@ -233,9 +196,7 @@ def load_solution(path, model: GeneratorModel):
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "hjb-solution":
         raise ValueError(f"{path} is not an HJB solution archive")
-    config = HjbConfig(
-        dt=meta["dt"], horizon_steps=meta["horizon_steps"], scheme=meta["scheme"],
-    )
+    config = HjbConfig(dt=meta["dt"], horizon_steps=meta["horizon_steps"])
     sol = HjbSolution(
         model=model, config=config, v0=arrays["v0"], bv0=arrays["bv0"],
         trajectory=arrays.get("trajectory"),

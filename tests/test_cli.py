@@ -1,6 +1,8 @@
 """Exercises the four subcommands end to end through cli.main."""
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -164,6 +166,49 @@ def test_unknown_eval_option_is_rejected(tmp_path, capsys):
     cfg = _write(tmp_path / "c.yaml", doc)
     assert cli.main(["gen-data", "--config", cfg]) == 2
     assert "eval.rmse" in capsys.readouterr().err
+
+
+def _exit_code_with(pipeline, tmp_path, key, value):
+    """Run the stage that reads the dotted ``key`` with it set to ``value``."""
+    path = key.split(".")
+    in_eval = path[0] == "eval"
+    doc = _config(pipeline["out"] if in_eval else tmp_path / "o")
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    cfg = _write(tmp_path / "c.yaml", doc)
+    argv = ["eval", "--mode", path[1]] if in_eval else ["gen-data"]
+    return cli.main(argv + ["--config", cfg])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon_steps", 2.9),
+    ("grid.counts", [30.7]),
+    ("eval.rmse.n_points", 10.5),
+    ("eval.sweep.n_points", 10.5),
+    ("eval.cost-bench.n_rollouts", 2.5),
+])
+def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value):
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert f"{key.split('.')[-1]} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval.sweep.values", 3.0),
+    ("eval.cost-bench.init_lo", -1.0),
+])
+def test_scalar_for_a_list_is_rejected(pipeline, tmp_path, capsys, key, value):
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert f"{key} must be a list" in capsys.readouterr().err
+
+
+def test_readme_config_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```yaml\n(# experiment\.yaml\n.*?)```", readme, re.S)
+    cfg = cli.ExperimentConfig(yaml.safe_load(block.group(1)))
+    cfg.benchmark()
+    cfg.hjb_config()
 
 
 def test_malformed_yaml_is_rejected(tmp_path):

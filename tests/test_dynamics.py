@@ -121,6 +121,13 @@ def test_grid_validation():
         StateGridSpec(bounds=((0.0, 1.0),), counts=(3, 3))
     with pytest.raises(ValueError):
         StateGridSpec(bounds=((0.0, 1.0),), counts=(3,), angle_dims=(1,))
+    # a fractional count or angle index is refused, not truncated
+    with pytest.raises(ValueError, match="grid counts"):
+        StateGridSpec(bounds=((0.0, 1.0),), counts=(30.7,))
+    with pytest.raises(ValueError, match="angle_dims"):
+        StateGridSpec(bounds=((0.0, 1.0), (0.0, 1.0)), counts=(3, 3),
+                      angle_dims=(0.5,))
+    assert StateGridSpec(bounds=((0.0, 1.0),), counts=(3.0,)).counts == (3,)
 
 
 def test_sample_states_latin_hypercube():

@@ -82,11 +82,6 @@ def test_run_pipeline_matches_manual_composition():
     np.testing.assert_array_equal(sol.bv0, ref.bv0)
 
 
-def test_fit_epsilon_override():
-    assert _spec().fit_epsilon() == 0.01
-    assert _spec(epsilon=0.5).fit_epsilon() == 0.5
-
-
 def test_finite_difference_labels_track_analytic_ones():
     a = run_pipeline(_spec(horizon_steps=100))
     b = run_pipeline(_spec(horizon_steps=100, label_mode="finite-difference",
