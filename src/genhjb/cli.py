@@ -284,6 +284,16 @@ def _scoring_box(opts: dict, mode: str, n_x: int):
     return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), n_points
 
 
+def _rollout_opts(opts: dict):
+    """sim_dt, noise and smooth of a rollout or cost-bench block.
+
+    sim_dt and noise default to CostBenchSpec's own field defaults.
+    """
+    spec = evaluation.CostBenchSpec
+    return (float(opts.get("sim_dt", spec.sim_dt)),
+            bool(opts.get("noise", spec.noise)), bool(opts.get("smooth", True)))
+
+
 def _policies(sol, bench, smooth: bool):
     if smooth:
         return lambda x: hjb.smoothed_policy_at(sol, bench.pen, x)
@@ -330,15 +340,15 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"eval.rollout.x0 must have {bench.sim_system.n_x} entries"
             )
-        sim_dt = float(opts.get("sim_dt", 1e-3))
+        sim_dt, noise, smooth = _rollout_opts(opts)
         duration = float(opts.get("duration", 5.0))
         control_hz = float(opts.get("control_hz", 50.0))
         steps = int(round(duration / sim_dt))
         interval = max(1, int(round(1.0 / (control_hz * sim_dt))))
-        policy = _sim_policy(sol, bench, smooth=bool(opts.get("smooth", True)))
+        policy = _sim_policy(sol, bench, smooth=smooth)
         states, inputs = simulate_closed_loop(
             bench.sim_system, policy, x0, sim_dt, steps, seed=cfg.seed,
-            noise=bool(opts.get("noise", False)), control_interval=interval,
+            noise=noise, control_interval=interval,
         )
         cost = accumulated_cost(states, inputs, _sim_stage_cost(bench), bench.pen,
                                 sim_dt)
@@ -354,17 +364,17 @@ def cmd_eval(args) -> int:
         for key in ("init_lo", "init_hi", "duration", "control_hz", "n_rollouts"):
             if key not in opts:
                 raise ConfigError(f"eval.cost-bench.{key} is required")
+        sim_dt, noise, smooth = _rollout_opts(opts)
         spec = evaluation.CostBenchSpec(
             system=bench.sim_system, stage_cost=_sim_stage_cost(bench),
             pen=bench.pen, init_lo=tuple(_list(opts, "init_lo", "eval.cost-bench")),
             init_hi=tuple(_list(opts, "init_hi", "eval.cost-bench")),
             duration=float(opts["duration"]), control_hz=float(opts["control_hz"]),
             n_rollouts=exact_int(opts["n_rollouts"], "eval.cost-bench.n_rollouts"),
-            sim_dt=float(opts.get("sim_dt", 1e-3)), seed=cfg.seed,
-            noise=bool(opts.get("noise", False)),
+            sim_dt=sim_dt, seed=cfg.seed, noise=noise,
         )
         sol = _load_solution_pair(cfg, args)
-        policy = _sim_policy(sol, bench, smooth=bool(opts.get("smooth", True)))
+        policy = _sim_policy(sol, bench, smooth=smooth)
         result = evaluation.run_cost_bench(spec, policy)
         payload = {"mode": "cost-bench", "mean": result["mean"], "std": result["std"],
                    "n_excluded": result["n_excluded"],

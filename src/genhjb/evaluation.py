@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import (ControlAffineSystem, StateGridSpec, accumulated_cost,
                        generate_dataset, simulate_closed_loop)
 from .errors import (ConditioningError, ConfigError, DivergenceError,
-                     NumericalDomainError, StepSizeError)
+                     NumericalDomainError, StepSizeError, exact_int)
 from .generator import fit
 from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
 from .kernels import KernelSpec
@@ -76,9 +76,9 @@ class SweepSpec:
     """Rerun a pipeline while varying one knob, scoring against a reference.
 
     ``variable`` is "lengthscale" (kernel sigma) or "dataset_size" (total
-    grid points, spread evenly across grid dimensions).  The reference is a
-    feedback policy; scoring uses :func:`rmse_to_reference` on the box
-    (region_lo, region_hi).
+    grid points, an integer, spread evenly across grid dimensions).  The
+    reference is a feedback policy; scoring uses :func:`rmse_to_reference`
+    on the box (region_lo, region_hi).
     """
 
     base: PipelineSpec
@@ -97,6 +97,9 @@ class SweepSpec:
             )
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
+        if self.variable == "dataset_size":
+            object.__setattr__(self, "values", tuple(
+                exact_int(v, "dataset_size values") for v in self.values))
 
 
 def _pipeline_for_value(spec: SweepSpec, value) -> PipelineSpec:
@@ -104,9 +107,8 @@ def _pipeline_for_value(spec: SweepSpec, value) -> PipelineSpec:
     if spec.variable == "lengthscale":
         kernel = replace(base.kernel, sigma=float(value))
         return replace(base, kernel=kernel)
-    total = int(value)
     d = base.grid.n_intrinsic
-    per_axis = max(1, round(total ** (1.0 / d)))
+    per_axis = max(1, round(value ** (1.0 / d)))
     grid = StateGridSpec(bounds=base.grid.bounds, counts=(per_axis,) * d,
                          angle_dims=base.grid.angle_dims)
     return replace(base, grid=grid)

@@ -168,29 +168,35 @@ def test_unknown_eval_option_is_rejected(tmp_path, capsys):
     assert "eval.rmse" in capsys.readouterr().err
 
 
-def _exit_code_with(pipeline, tmp_path, key, value):
-    """Run the stage that reads the dotted ``key`` with it set to ``value``."""
+def _exit_code_with(pipeline, tmp_path, key, value, also=None):
+    """Run the stage that reads the dotted ``key`` with it set to ``value``;
+    ``also`` maps further dotted keys to values."""
     path = key.split(".")
     in_eval = path[0] == "eval"
     doc = _config(pipeline["out"] if in_eval else tmp_path / "o")
-    node = doc
-    for part in path[:-1]:
-        node = node[part]
-    node[path[-1]] = value
+    for dotted, v in {**(also or {}), key: value}.items():
+        *parents, leaf = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf] = v
     cfg = _write(tmp_path / "c.yaml", doc)
     argv = ["eval", "--mode", path[1]] if in_eval else ["gen-data"]
     return cli.main(argv + ["--config", cfg])
 
 
-@pytest.mark.parametrize("key, value", [
-    ("horizon_steps", 2.9),
-    ("grid.counts", [30.7]),
-    ("eval.rmse.n_points", 10.5),
-    ("eval.sweep.n_points", 10.5),
-    ("eval.cost-bench.n_rollouts", 2.5),
+@pytest.mark.parametrize("key, value, also", [
+    pytest.param("horizon_steps", 2.9, None, id="horizon_steps-2.9"),
+    pytest.param("grid.counts", [30.7], None, id="grid.counts-value1"),
+    pytest.param("eval.rmse.n_points", 10.5, None, id="eval.rmse.n_points-10.5"),
+    pytest.param("eval.sweep.n_points", 10.5, None, id="eval.sweep.n_points-10.5"),
+    pytest.param("eval.cost-bench.n_rollouts", 2.5, None,
+                 id="eval.cost-bench.n_rollouts-2.5"),
+    pytest.param("eval.sweep.values", [400.7], {"eval.sweep.variable": "dataset_size"},
+                 id="eval.sweep.values-dataset_size-400.7"),
 ])
-def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value):
-    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, also):
+    assert _exit_code_with(pipeline, tmp_path, key, value, also) == 2
     assert f"{key.split('.')[-1]} must be an integer" in capsys.readouterr().err
 
 

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from genhjb import KernelSpec, fit
+from genhjb import KernelSpec, fit, kernels
 from genhjb.dynamics import StateGridSpec, generate_dataset
 from genhjb.errors import DivergenceError, StepSizeError
 from genhjb.generator import GeneratorModel
 from genhjb.hjb import (HjbConfig, HjbSolution, load_solution, policy_at,
                         policy_on, save_solution, smoothed_policy_at,
                         solve_fvp, value_at, value_on, write_value_policy_csv)
-from genhjb.penalty import symmetric_box_penalty
+from genhjb.penalty import ControlPenalty, symmetric_box_penalty
 from genhjb.systems import linear_1d_system
 
 SE1 = KernelSpec("squared-exponential", 1.0)
@@ -94,11 +94,91 @@ def test_step_size_error_on_singular_step_matrix():
         solve_fvp(model, None, HjbConfig(dt=0.01, horizon_steps=10))
 
 
+def test_step_size_error_on_inaccurate_inverse():
+    # I - dt A passes the pivot check (smallest pivot about 1e-13) but its
+    # condition number is about 1e14, so the explicit inverse fails to
+    # reproduce (I - dt A) c = dt q
+    dt = 0.1
+    S = np.array([[0.1, 0.7], [0.3, 2.1 + 3e-13]])
+    model = GeneratorModel(
+        kernel=SE1, X=np.array([[0.0], [1.0]]), gamma=1.0, epsilon=0.0,
+        K=np.eye(2), kgamma_cho=scipy.linalg.cho_factor(2.0 * np.eye(2), lower=True),
+        A_hat=(np.eye(2) - S) / dt, B_hat=np.zeros((1, 2, 2)),
+        q_coeff=np.array([1.0, 3.0]),
+    )
+    with pytest.raises(StepSizeError, match="ill-conditioned"):
+        solve_fvp(model, None, HjbConfig(dt=dt, horizon_steps=3))
+
+
 def test_divergence_error_on_unstable_recursion():
     # dt * a = 1.5 puts the implicit multiplier at -2 per step
     model = _toy_model(a=150.0, q=1.0)
     with pytest.raises(DivergenceError):
         solve_fvp(model, None, HjbConfig(dt=0.01, horizon_steps=2500))
+
+
+def test_control_term_overflow_raises_divergence():
+    # lambda = b w overflows at the third step: w2 is about -4.5e297, so
+    # b w2 = -inf, the dual is -inf and the iterate is non-finite
+    model = _toy_model(a=-0.5, b=1e300, q=1.0)
+    with pytest.raises(DivergenceError) as info:
+        solve_fvp(model, symmetric_box_penalty([0.5], 1.0),
+                  HjbConfig(dt=0.1, horizon_steps=10))
+    assert info.value.step == 2
+
+
+def _imex_oracle(model, pen, dt, steps):
+    """The IMEX recursion with dense solves on I - dt A and on K_gamma:
+    (I - dt A) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(K B_j w_m))."""
+    N = model.n_points
+    S = np.eye(N) - dt * model.A_hat
+    Kg = model.K + N * model.gamma * np.eye(N)
+    w = np.zeros(N)
+    for _ in range(steps):
+        rhs = w + dt * model.q_coeff
+        if pen is not None:
+            lam = np.stack([model.K @ (B @ w) for B in model.B_hat], axis=1)
+            u = np.clip(-lam / (2.0 * pen.weights), pen.u_min, pen.u_max)
+            dr = np.sum(pen.weights * u**2 + lam * u, axis=1)
+            rhs = rhs + dt * np.linalg.solve(Kg, dr)
+        w = np.linalg.solve(S, rhs)
+    return w
+
+
+def _random_two_input_model(N=40, gamma=1e-3, seed=7):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(N, 2))
+    K = kernels.gram_matrix(SE1, X)
+    cho = scipy.linalg.cho_factor(K + N * gamma * np.eye(N), lower=True)
+    A = -np.eye(N) + 0.3 * rng.standard_normal((N, N)) / np.sqrt(N)
+    B = rng.standard_normal((2, N, N)) / np.sqrt(N)
+    return GeneratorModel(
+        kernel=SE1, X=X, gamma=gamma, epsilon=0.0, K=K, kgamma_cho=cho,
+        A_hat=A, B_hat=B, q_coeff=rng.uniform(0.5, 1.5, N),
+    )
+
+
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_solve_matches_dense_oracle_on_fitted_model(with_penalty):
+    model = _fitted()
+    pen = symmetric_box_penalty([0.5], 5.0) if with_penalty else None
+    sol = solve_fvp(model, pen, HjbConfig(dt=0.02, horizon_steps=100))
+    want = _imex_oracle(model, pen, 0.02, 100)
+    assert np.max(np.abs(sol.v0 - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_solve_matches_dense_oracle_with_two_inputs():
+    model = _random_two_input_model()
+    pen = ControlPenalty(weights=[0.5, 2.0], u_min=[-0.5, -2.0], u_max=[1.0, 0.3])
+    sol = solve_fvp(model, pen, HjbConfig(dt=0.05, horizon_steps=60))
+    want = _imex_oracle(model, pen, 0.05, 60)
+    assert np.max(np.abs(sol.v0 - want)) <= 1e-10 * np.max(np.abs(want))
+    np.testing.assert_allclose(sol.bv0, model.B_hat @ sol.v0, rtol=1e-12)
+    # both channels reach the box and both are interior somewhere
+    U = np.clip(-(model.K @ sol.bv0.T) / (2.0 * pen.weights), pen.u_min, pen.u_max)
+    for j in range(2):
+        on_box = (U[:, j] == pen.u_min[j]) | (U[:, j] == pen.u_max[j])
+        assert on_box.any() and not on_box.all()
 
 
 def test_penalty_channel_mismatch_rejected():
