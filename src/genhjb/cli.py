@@ -342,9 +342,8 @@ def cmd_eval(args) -> int:
             )
         sim_dt, noise, smooth = _rollout_opts(opts)
         duration = float(opts.get("duration", 5.0))
-        control_hz = float(opts.get("control_hz", 50.0))
-        steps = int(round(duration / sim_dt))
-        interval = max(1, int(round(1.0 / (control_hz * sim_dt))))
+        steps, interval = evaluation.rollout_steps(
+            duration, float(opts.get("control_hz", 50.0)), sim_dt)
         policy = _sim_policy(sol, bench, smooth=smooth)
         states, inputs = simulate_closed_loop(
             bench.sim_system, policy, x0, sim_dt, steps, seed=cfg.seed,
@@ -469,10 +468,7 @@ def main(argv=None) -> int:
             NumericalDomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes ConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -29,7 +29,8 @@ class ConditioningError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """The implicit time-stepping matrix is singular for the requested dt."""
+    """The implicit time-stepping matrix is singular for the requested dt,
+    or too ill-conditioned to invert accurately."""
 
 
 class DivergenceError(RuntimeError):

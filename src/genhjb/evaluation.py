@@ -144,6 +144,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
         return list(pool.map(lambda v: _sweep_one(spec, v), spec.values))
 
 
+def rollout_steps(duration: float, control_hz: float, sim_dt: float) -> tuple:
+    """Simulator steps in ``duration`` and the policy's hold interval in steps."""
+    if not all(0.0 < v < np.inf for v in (duration, control_hz, sim_dt)):
+        raise ConfigError("duration, control_hz and sim_dt must be positive, got "
+                          f"{duration}, {control_hz} and {sim_dt}")
+    return int(round(duration / sim_dt)), max(1, int(round(1.0 / (control_hz * sim_dt))))
+
+
 @dataclass(frozen=True)
 class CostBenchSpec:
     """Rollout cost benchmark under zero-order-hold feedback.
@@ -176,8 +184,7 @@ class CostBenchSpec:
             raise ValueError("initial box must match the simulated state dimension")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("empty initial box")
-        if self.duration <= 0 or self.control_hz <= 0 or self.sim_dt <= 0:
-            raise ValueError("duration, control_hz, sim_dt must be positive")
+        rollout_steps(self.duration, self.control_hz, self.sim_dt)
         if self.n_rollouts < 1:
             raise ValueError("n_rollouts must be >= 1")
         object.__setattr__(self, "init_lo", lo)
@@ -191,8 +198,7 @@ def run_cost_bench(spec: CostBenchSpec, policy: Callable) -> dict:
     a dict with per-rollout costs, final states, overall mean/std over the
     finished rollouts, the max recorded |u|, and the exclusion count.
     """
-    steps = int(round(spec.duration / spec.sim_dt))
-    control_interval = max(1, int(round(1.0 / (spec.control_hz * spec.sim_dt))))
+    steps, control_interval = rollout_steps(spec.duration, spec.control_hz, spec.sim_dt)
     costs = np.full(spec.n_rollouts, np.nan)
     finals = np.full((spec.n_rollouts, spec.system.n_x), np.nan)
     excluded = 0

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from . import kernels
 from .dynamics import GeneratorDataset
-from .errors import ConditioningError, NumericalDomainError
+from .errors import ConditioningError
 from .kernels import KernelSpec
 from .npzio import load_arrays, save_arrays
 
@@ -34,19 +34,7 @@ def target_kernel_matrix(kernel: KernelSpec, X, drift, epsilon: float) -> np.nda
     ``drift`` holds the drift vector at each sample point (same shape as X).
     Entry (i, j) applies the generator in the first kernel argument at x_i.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    # bad labels surface as the error below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = kernels.pairwise_grad_dot(kernel, X, drift)
-        if epsilon > 0:
-            out += epsilon * kernels.pairwise_hess_trace(kernel, X)
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise NumericalDomainError(
-            f"non-finite target matrix entry at ({i}, {j})", where=(int(i), int(j))
-        )
-    return out
+    return kernels._gram_and_targets(kernel, X, [drift], epsilon)[1][0]
 
 
 @dataclass
@@ -100,17 +88,17 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     X = dataset.X
-    K = kernels.gram_matrix(kernel, X)
-    cho = _factor_kgamma(K, gamma)
-
     labels = dataset.drift_labels
-    A_hat = scipy.linalg.cho_solve(
-        cho, target_kernel_matrix(kernel, X, labels[0], epsilon))
+    # channel j's label is f + g_j, so the difference is g_j
+    K, targets = kernels._gram_and_targets(
+        kernel, X, [labels[0]] + [labels[j + 1] - labels[0] for j in range(dataset.n_u)],
+        epsilon)
+    cho = _factor_kgamma(K, gamma)
+    # each target is released as soon as it is solved, to keep the peak low
+    A_hat = scipy.linalg.cho_solve(cho, targets.pop(0))
     B_hat = np.empty((dataset.n_u, X.shape[0], X.shape[0]))
     for j in range(dataset.n_u):
-        # channel j's label is f + g_j, so the difference is g_j
-        B_hat[j] = scipy.linalg.cho_solve(
-            cho, target_kernel_matrix(kernel, X, labels[j + 1] - labels[0], 0.0))
+        B_hat[j] = scipy.linalg.cho_solve(cho, targets.pop(0))
     q_coeff = scipy.linalg.cho_solve(cho, dataset.q)
     return GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,

@@ -209,6 +209,16 @@ def test_scalar_for_a_list_is_rejected(pipeline, tmp_path, capsys, key, value):
     assert f"{key} must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eval.rollout.control_hz", 0),
+    ("eval.rollout.sim_dt", 0),
+    ("eval.rollout.control_hz", -50),
+])
+def test_rollout_rejects_nonpositive_timing(pipeline, tmp_path, capsys, key, value):
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_readme_config_is_accepted():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```yaml\n(# experiment\.yaml\n.*?)```", readme, re.S)

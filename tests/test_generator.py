@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from genhjb import KernelSpec, fit, generator_apply
+from genhjb import KernelSpec, fit, generator_apply, kernels
 from genhjb.dynamics import (StateGridSpec, dataset_from_states,
                              generate_dataset)
 from genhjb.errors import ConditioningError, NumericalDomainError
@@ -122,6 +122,24 @@ def test_fit_matches_dense_inverse_small_n():
     Kg = model.K + 20 * 1e-2 * np.eye(20)
     T0 = target_kernel_matrix(SE1, X, ds.drift_labels[0], 0.0)
     np.testing.assert_allclose(model.A_hat, np.linalg.inv(Kg) @ T0, atol=1e-10)
+
+
+def test_fit_computes_distances_once(monkeypatch):
+    # K, the A-hat target with its diffusion term and the B-hat target all
+    # come from one distance pass
+    calls = []
+    cdist = kernels.cdist
+
+    def counting_cdist(*args):
+        calls.append(args)
+        return cdist(*args)
+
+    monkeypatch.setattr(kernels, "cdist", counting_cdist)
+    for k in (SE1, KernelSpec("smoothed-laplace", 2.0)):
+        calls.clear()
+        model = fit(_linear_dataset(n=20), k, 1e-6, 0.01)
+        assert model.n_u == 1
+        assert len(calls) == 1
 
 
 def test_fit_shrinks_with_gamma():

@@ -1,11 +1,14 @@
 """Kernel values, first-argument derivatives, and Gram assembly."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from genhjb.generator import target_kernel_matrix
 from genhjb.kernels import (KernelSpec, cross_kernel_matrix,
                             cross_kernel_vector, fd_check_derivatives,
-                            grad_x1, gram_matrix, hess_trace_x1,
-                            pairwise_grad_dot, pairwise_hess_trace, value)
+                            grad_x1, gram_matrix, hess_trace_x1, value)
 
 EXP_M1 = 0.36787944117144233
 
@@ -127,13 +130,15 @@ def test_cross_kernel_matrix_matches_value():
                 assert C[i, j] == pytest.approx(value(k, X[i], Y[j]), rel=1e-14)
 
 
-def test_pairwise_builders_match_pointwise():
+def test_target_matrix_matches_pointwise():
+    # epsilon = 0 gives the advection part, zero drift with epsilon = 1 the
+    # Hessian trace
     rng = np.random.default_rng(4)
     X = rng.uniform(-2, 2, size=(12, 3))
     F = rng.normal(size=(12, 3))
     for k in (SE2, LAP1):
-        M = pairwise_grad_dot(k, X, F)
-        H = pairwise_hess_trace(k, X)
+        M = target_kernel_matrix(k, X, F, 0.0)
+        H = target_kernel_matrix(k, X, np.zeros_like(F), 1.0)
         # abs floor covers diagonal roundoff amplified by the surrogate's
         # 2/s^2 factor; off-diagonal entries are O(1) so rel governs there
         for i in range(12):
@@ -142,6 +147,48 @@ def test_pairwise_builders_match_pointwise():
                                                 rel=1e-12, abs=1e-10)
                 assert H[i, j] == pytest.approx(hess_trace_x1(k, X[i], X[j]),
                                                 rel=1e-12, abs=1e-10)
+
+
+@st.composite
+def _target_cases(draw):
+    """A kernel, up to 8 points in 1 to 5 dimensions, a drift field and an
+    epsilon.  Points and drifts sit on a lattice of spacing 0.1, so two
+    points either coincide (the surrogate's case) or are at least 0.1 apart,
+    far beyond the finite-difference step."""
+    n_x = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 8))
+    X = 0.1 * draw(hnp.arrays(np.int64, (N, n_x), elements=st.integers(-10, 10)))
+    F = 0.1 * draw(hnp.arrays(np.int64, (N, n_x), elements=st.integers(-30, 30)))
+    family = draw(st.sampled_from(["squared-exponential", "smoothed-laplace"]))
+    k = KernelSpec(family, draw(st.floats(0.5, 3.0)))
+    return k, X, F, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_target_cases())
+def test_target_matrix_matches_finite_differences(case):
+    # an oracle built from kernel values alone: central differences of
+    # cross_kernel_matrix along the drift and along each axis
+    k, X, F, eps = case
+    N, n = X.shape
+    h = 1e-4
+    T = target_kernel_matrix(k, X, F, eps)
+    K = cross_kernel_matrix(k, X, X)
+    for i in range(N):
+        speed = np.linalg.norm(F[i])
+        heading = F[i] / speed if speed > 0 else np.zeros(n)
+        steps = np.vstack([heading, np.eye(n)]) * h
+        up = cross_kernel_matrix(k, X[i] + steps, X)
+        down = cross_kernel_matrix(k, X[i] - steps, X)
+        advection = speed * (up[0] - down[0]) / (2.0 * h)
+        laplacian = (up[1:] - 2.0 * K[i] + down[1:]).sum(axis=0) / h**2
+        fd = advection + eps * laplacian
+        # fd_check_derivatives' floor: k / sigma per unit of drift for the
+        # gradient, n k / sigma^2 for the Hessian trace
+        floor = K[i] * (speed / k.sigma + eps * n / k.sigma**2)
+        scale = np.maximum(np.maximum(np.abs(T[i]), np.abs(fd)), floor)
+        far = np.linalg.norm(X[i] - X, axis=1) > k.smoothing_radius
+        assert np.all(np.abs(T[i] - fd)[far] <= 1e-5 * scale[far])
 
 
 def test_fd_agreement_away_from_smoothing():
@@ -174,11 +221,11 @@ def test_finite_everywhere_including_diagonal():
                 assert np.isfinite(hess_trace_x1(k, x, y))
 
 
-def test_pairwise_diagonal_uses_surrogate():
-    # the (i, i) entries of the batched Laplace builders must agree with the
-    # pointwise surrogate, not blow up on r = 0
+def test_target_matrix_diagonal_uses_surrogate():
+    # the (i, i) entries of the Laplace target must agree with the pointwise
+    # surrogate, not blow up on r = 0
     X = np.array([[0.0, 0.0], [1.0, 2.0]])
-    H = pairwise_hess_trace(LAP1, X)
+    H = target_kernel_matrix(LAP1, X, np.zeros_like(X), 1.0)
     assert H[0, 0] == pytest.approx(-40000.0, rel=1e-13)
-    M = pairwise_grad_dot(LAP1, X, np.ones((2, 2)))
+    M = target_kernel_matrix(LAP1, X, np.ones((2, 2)), 0.0)
     assert M[0, 0] == 0.0
