@@ -7,6 +7,7 @@ recover G(x) column by column, which is all the generator fit needs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,6 +16,7 @@ import scipy.stats
 
 from .errors import ConfigError, DivergenceError, NumericalDomainError, exact_int
 from .npzio import write_csv
+from .penalty import penalty_value
 
 
 @dataclass(frozen=True)
@@ -137,22 +139,26 @@ class StateGridSpec:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     def embed(self, Q) -> np.ndarray:
-        """Map intrinsic coordinates (M, n_intrinsic) to states (M, n_x)."""
+        """Map intrinsic coordinates to states: (M, n_intrinsic) -> (M, n_x),
+        or one point (n_intrinsic,) -> (n_x,)."""
         Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != self.n_intrinsic:
-            raise ValueError(f"expected (M, {self.n_intrinsic}) coordinates, got {Q.shape}")
-        cols = []
-        for d in range(self.n_intrinsic):
-            if d in self.angle_dims:
-                cols.append(np.cos(Q[:, d]))
-                cols.append(np.sin(Q[:, d]))
-            else:
-                cols.append(Q[:, d])
-        return np.stack(cols, axis=1)
+        if Q.ndim not in (1, 2) or Q.shape[-1] != self.n_intrinsic:
+            raise ValueError(f"expected (M, {self.n_intrinsic}) or ({self.n_intrinsic},) "
+                             f"coordinates, got {Q.shape}")
+        parts, start = [], 0
+        for d in self.angle_dims:
+            theta = Q[..., d:d + 1]
+            parts += [Q[..., start:d], np.cos(theta), np.sin(theta)]
+            start = d + 1
+        parts.append(Q[..., start:])
+        return np.concatenate(parts, axis=-1)
 
     def embed_point(self, q) -> np.ndarray:
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        return self.embed(q[None, :])[0]
+        """``embed`` for one point: (n_intrinsic,) -> (n_x,)."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            raise ValueError(f"expected ({self.n_intrinsic},) coordinates, got {q.shape}")
+        return self.embed(q.reshape(-1))
 
     def states(self) -> np.ndarray:
         return self.embed(self.grid_points())
@@ -293,17 +299,25 @@ def simulate_closed_loop(
     The policy is evaluated every ``control_interval`` steps and held
     constant in between (zero-order hold); inputs are clipped to the
     system's box before use and recorded post-clipping.  Returns
-    (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).
+    (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).  A state
+    that is not finite or whose norm exceeds ``blowup_norm`` raises
+    DivergenceError with the step that produced it.
     """
     x = _state(system, x0)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(blowup_norm) and blowup_norm > 0):
+        raise ValueError(f"blowup_norm must be positive and finite, got {blowup_norm}")
+    steps = exact_int(steps, "steps")
+    control_interval = exact_int(control_interval, "control_interval")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if control_interval < 1:
         raise ValueError("control_interval must be >= 1")
     rng = np.random.default_rng(seed)
     noise_scale = np.sqrt(2.0 * system.epsilon * dt)
+    noisy = noise and system.epsilon > 0
+    drift, input_map = system.drift, system.input_map
 
     states = np.empty((steps + 1, system.n_x))
     inputs = np.empty((steps, system.n_u))
@@ -316,10 +330,11 @@ def simulate_closed_loop(
                 raise ValueError(f"policy returned shape {u.shape}, expected ({system.n_u},)")
             u = np.clip(u, system.u_min, system.u_max)
         inputs[k] = u
-        x = x + dt * (system.drift(x) + system.input_map(x) @ u)
-        if noise and system.epsilon > 0:
+        x = x + dt * (drift(x) + input_map(x) @ u)
+        if noisy:
             x = x + noise_scale * rng.standard_normal(system.n_x)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > blowup_norm:
+        # np.linalg.norm's own formula; a NaN or inf norm fails the test too
+        if not math.sqrt(x @ x) <= blowup_norm:
             raise DivergenceError(f"trajectory blew up at step {k}", step=k)
         states[k + 1] = x
     return states, inputs
@@ -328,17 +343,23 @@ def simulate_closed_loop(
 def accumulated_cost(states, inputs, stage_cost, pen, dt: float) -> float:
     """Left-endpoint Riemann sum of q(x) + r(u) along a rollout.
 
-    ``pen`` may be None for a pure state cost.
+    ``states`` and ``inputs`` are (steps + 1, n_x) and (steps, n_u), as
+    :func:`simulate_closed_loop` returns them.  ``pen`` may be None for a
+    pure state cost.
     """
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2:
+        raise ValueError(f"inputs must be (steps, n_u), got shape {inputs.shape}")
     if states.shape[0] != inputs.shape[0] + 1:
         raise ValueError("need one more state than inputs")
+    r = (penalty_value(pen, inputs).tolist() if pen is not None
+         else [0.0] * inputs.shape[0])
+    # added in step order, q(x_k) then r(u_k), as a step-by-step sum would
     total = 0.0
-    for k in range(inputs.shape[0]):
-        total += float(stage_cost(states[k]))
-        if pen is not None:
-            total += float(np.sum(pen.weights * inputs[k] ** 2))
+    for x, r_k in zip(states, r):
+        total += float(stage_cost(x))
+        total += r_k
     return total * dt
 
 

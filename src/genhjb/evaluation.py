@@ -185,8 +185,10 @@ class CostBenchSpec:
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("empty initial box")
         rollout_steps(self.duration, self.control_hz, self.sim_dt)
-        if self.n_rollouts < 1:
+        n_rollouts = exact_int(self.n_rollouts, "n_rollouts")
+        if n_rollouts < 1:
             raise ValueError("n_rollouts must be >= 1")
+        object.__setattr__(self, "n_rollouts", n_rollouts)
         object.__setattr__(self, "init_lo", lo)
         object.__setattr__(self, "init_hi", hi)
 

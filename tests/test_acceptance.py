@@ -24,6 +24,8 @@ from genhjb.penalty import dual_value, symmetric_box_penalty
 from genhjb.systems import (cartpole_default_grid, linear_1d_system,
                             linear_2d_system, lqr_feedback)
 
+pytestmark = pytest.mark.acceptance
+
 PEN5 = symmetric_box_penalty([0.5], 5.0)
 
 

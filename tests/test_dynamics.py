@@ -1,8 +1,14 @@
 """Systems, state grids, drift datasets, simulation, and the CSV format."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from genhjb.dynamics import (StateGridSpec, accumulated_cost,
+from genhjb.dynamics import (ControlAffineSystem, StateGridSpec,
+                             accumulated_cost,
                              dataset_from_states, drift_under_input, flow,
                              generate_dataset, read_dataset,
                              simulate_closed_loop, write_dataset)
@@ -110,6 +116,12 @@ def test_grid_points_and_embedding():
     assert states.shape == (15, 3)
     np.testing.assert_allclose(states[:, 0]**2 + states[:, 1]**2, 1.0, atol=1e-14)
     np.testing.assert_allclose(ang.embed_point([0.0, 0.5]), [1.0, 0.0, 0.5])
+    with pytest.raises(ValueError):
+        ang.embed_point([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        ang.embed_point([[0.0, 0.5]])
+    with pytest.raises(ValueError):
+        ang.embed(np.zeros((1, 1, 2)))
 
 
 def test_grid_validation():
@@ -270,11 +282,60 @@ def test_zero_order_hold_interval():
 
 
 def test_simulation_divergence_error():
-    sys_ = linear_1d_system(a=100.0, epsilon=0.0)
+    # zero input on dx = a x dt: x_k = (1 + a dt)^k x0, so the first state
+    # past the bound is x_first, produced by step first - 1
+    a, dt, x0, bound = 100.0, 0.1, -0.7, 1e3
+    sys_ = linear_1d_system(a=a, epsilon=0.0)
+    growth = 1.0 + a * dt
+    first = next(k for k in range(1, 100) if growth**k * abs(x0) > bound)
     with pytest.raises(DivergenceError) as exc:
-        simulate_closed_loop(sys_, lambda x: np.zeros(1), [1.0], dt=0.1,
-                             steps=500, noise=False, blowup_norm=1e3)
-    assert exc.value.step is not None
+        simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
+                             steps=500, noise=False, blowup_norm=bound)
+    assert exc.value.step == first - 1
+    states, _ = simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
+                                     steps=first - 1, noise=False,
+                                     blowup_norm=bound)
+    np.testing.assert_allclose(states[:, 0], x0 * growth ** np.arange(first),
+                               rtol=1e-13)
+    # the per-step test is one comparison, so the bound itself must be a
+    # positive finite number: with inf an inf state would pass it, with NaN
+    # every state would fail it
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="blowup_norm"):
+            simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
+                                 steps=5, noise=False, blowup_norm=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_drift_diverges_at_its_step(bad):
+    # a unit drift from 0 with dt = 1 visits x_k = k; the drift turns
+    # non-finite at x = 3, so step 3 produces the first bad state
+    sys_ = ControlAffineSystem(
+        name="ramp", n_x=1, n_u=1,
+        drift=lambda x: np.array([bad if x[0] >= 3.0 else 1.0]),
+        input_map=lambda x: np.ones((1, 1)), u_min=[-1.0], u_max=[1.0],
+        epsilon=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.0], dt=1.0,
+                                 steps=10, noise=False)
+    assert exc.value.step == 3
+
+
+def test_simulation_rejects_fractional_counts():
+    sys_ = linear_1d_system(epsilon=0.0)
+
+    def run(**kw):
+        return simulate_closed_loop(sys_, lambda x: np.zeros(1), [1.0],
+                                    dt=0.01, noise=False, **kw)
+
+    with pytest.raises(ConfigError, match="control_interval"):
+        run(steps=10, control_interval=2.5)
+    with pytest.raises(ConfigError, match="steps"):
+        run(steps=10.5)
+    # an integral float is the same count
+    np.testing.assert_array_equal(run(steps=10.0)[0], run(steps=10)[0])
 
 
 def test_rk4_flow_preserves_circle_constraint():
@@ -314,6 +375,38 @@ def test_accumulated_cost_hand_examples():
         == pytest.approx(0.6, rel=1e-15)
     assert accumulated_cost(np.zeros((3, 1)), np.zeros((2, 1)),
                             lambda x: 0.0, pen, dt=0.1) == 0.0
+    with pytest.raises(ValueError):
+        accumulated_cost(states, np.array([2.0]), lambda x: 1.0, pen, dt=0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(angle_dims=st.sampled_from([(), (0,), (1,), (2,)]),
+       q=hnp.arrays(float, 3, elements=st.floats(-50.0, 50.0)))
+def test_embed_point_matches_batch_embed(angle_dims, q):
+    grid = StateGridSpec(bounds=((-1.0, 1.0),) * 3, counts=(2, 2, 2),
+                         angle_dims=angle_dims)
+    assert np.array_equal(grid.embed_point(q), grid.embed(q[None])[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+       .filter(lambda w: w[0] != w[1]),
+       inputs=hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(2)),
+                         elements=st.floats(-1e3, 1e3)),
+       dt=st.floats(1e-4, 1.0))
+def test_accumulated_cost_matches_step_loop(weights, inputs, dt):
+    # the oracle adds q(x_k) then r(u_k) one step at a time
+    pen = symmetric_box_penalty(list(weights), 1e3)
+    states = np.cumsum(np.vstack([np.ones((1, 2)), inputs]), axis=0)
+
+    def stage(x):
+        return 0.3 * float(x @ x)
+
+    total = 0.0
+    for k in range(inputs.shape[0]):
+        total += stage(states[k])
+        total += float(np.sum(pen.weights * inputs[k] ** 2))
+    assert accumulated_cost(states, inputs, stage, pen, dt) == total * dt
 
 
 def test_dataset_csv_roundtrip_byte_stable(tmp_path):

@@ -252,6 +252,9 @@ def test_cost_bench_spec_validation():
                 dict(n_rollouts=0)):
         with pytest.raises(ValueError):
             CostBenchSpec(**{**ok, **bad})
+    with pytest.raises(ConfigError, match="n_rollouts"):
+        CostBenchSpec(**{**ok, "n_rollouts": 2.9})
+    assert CostBenchSpec(**{**ok, "n_rollouts": 2.0}).n_rollouts == 2
 
 
 def test_sweep_csv_format(tmp_path):

@@ -120,6 +120,33 @@ def test_cross_kernel_vector():
     assert v[1] == 1.0
 
 
+@st.composite
+def _query_cases(draw):
+    """A kernel, up to 30 points in 1 to 5 dimensions and a query that is
+    free, equal to a data point, or within smoothing_radius of one."""
+    n_x = draw(st.integers(1, 5))
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 30)), n_x),
+                        elements=st.floats(-5.0, 5.0)))
+    family = draw(st.sampled_from(["squared-exponential", "smoothed-laplace"]))
+    k = KernelSpec(family, draw(st.floats(0.1, 30.0)))
+    kind = draw(st.sampled_from(["free", "equal", "near"]))
+    if kind == "free":
+        x = draw(hnp.arrays(float, n_x, elements=st.floats(-5.0, 5.0)))
+    else:
+        x = X[draw(st.integers(0, X.shape[0] - 1))].copy()
+        if kind == "near":
+            x[draw(st.integers(0, n_x - 1))] += 0.5 * k.smoothing_radius
+    return k, X, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_query_cases())
+def test_cross_kernel_vector_matches_matrix_column(case):
+    k, X, x = case
+    assert np.array_equal(cross_kernel_vector(k, X, x),
+                          cross_kernel_matrix(k, X, x[None])[:, 0])
+
+
 def test_cross_kernel_matrix_matches_value():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
