@@ -13,6 +13,13 @@ fit of the zero-input drift f, and B-hat_j the fit of the input-map column
 g_j alone, with no diffusion term (the target is linear in the drift, so
 the target of f + g_j minus that of f is exactly the target of g_j).  The
 operator under input u is A-hat + sum_j u_j B-hat_j.
+
+The model stores what the HJB step multiplies by, not A-hat itself: the
+drift target T_A = K_gamma A-hat, B-hat_j, and K B-hat_j = T_Bj - N gamma
+B-hat_j, formed in place from the input target T_Bj after its solve.  A fit
+costs one Cholesky factor and one solve with N right-hand sides per input,
+about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
+K_gamma^{-1} (T_A h), O(N^2) per vector.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from . import kernels
 from .dynamics import GeneratorDataset
 from .errors import ConditioningError
 from .kernels import KernelSpec
-from .npzio import load_arrays, save_arrays
+from .npzio import load_arrays, require_array, save_arrays
 
 
 def target_kernel_matrix(kernel: KernelSpec, X, drift, epsilon: float) -> np.ndarray:
@@ -41,10 +48,12 @@ def target_kernel_matrix(kernel: KernelSpec, X, drift, epsilon: float) -> np.nda
 class GeneratorModel:
     """Fitted generator: data, kernel, and compressed operator blocks.
 
-    ``A_hat`` is the zero-input generator on coefficient vectors, ``B_hat[j]``
-    the correction per unit input channel, ``q_coeff`` the coefficients of
-    the stage cost's kernel interpolant.  ``kgamma_cho`` holds the Cholesky
-    factorization of K + N gamma I for reuse in downstream solves.
+    ``A_target`` is the drift channel's target T_A = K_gamma A-hat, so the
+    zero-input generator on coefficient vectors is K_gamma^{-1} A_target.
+    ``B_hat[j]`` is the correction per unit input channel and ``KB_hat[j]``
+    its product K B_hat[j] with the Gram matrix.  ``q_coeff`` holds the
+    coefficients of the stage cost's kernel interpolant.  ``kgamma_cho``
+    holds the Cholesky factorization of K + N gamma I for downstream solves.
     """
 
     kernel: KernelSpec
@@ -53,8 +62,9 @@ class GeneratorModel:
     epsilon: float
     K: np.ndarray
     kgamma_cho: tuple
-    A_hat: np.ndarray
+    A_target: np.ndarray
     B_hat: np.ndarray
+    KB_hat: np.ndarray
     q_coeff: np.ndarray
 
     @property
@@ -67,10 +77,13 @@ class GeneratorModel:
 
 
 def _factor_kgamma(K: np.ndarray, gamma: float):
+    """Cholesky factor of K + N gamma I, built in one Fortran-ordered copy
+    of K so that LAPACK factors it in place."""
     N = K.shape[0]
-    Kg = K + (N * gamma) * np.eye(N)
+    Kg = np.array(K, order="F")
+    Kg[np.diag_indices(N)] += N * gamma
     try:
-        return scipy.linalg.cho_factor(Kg, lower=True)
+        return scipy.linalg.cho_factor(Kg, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"Cholesky of the regularized Gram matrix failed (N={N}, gamma={gamma}); "
@@ -88,21 +101,23 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     X = dataset.X
+    N = X.shape[0]
     labels = dataset.drift_labels
     # channel j's label is f + g_j, so the difference is g_j
     K, targets = kernels._gram_and_targets(
         kernel, X, [labels[0]] + [labels[j + 1] - labels[0] for j in range(dataset.n_u)],
         epsilon)
     cho = _factor_kgamma(K, gamma)
-    # each target is released as soon as it is solved, to keep the peak low
-    A_hat = scipy.linalg.cho_solve(cho, targets.pop(0))
-    B_hat = np.empty((dataset.n_u, X.shape[0], X.shape[0]))
+    B_hat = np.empty((dataset.n_u, N, N))
+    KB_hat = targets[1:]
     for j in range(dataset.n_u):
-        B_hat[j] = scipy.linalg.cho_solve(cho, targets.pop(0))
+        B_hat[j] = scipy.linalg.cho_solve(cho, KB_hat[j])
+        # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
+        scipy.linalg.blas.daxpy(B_hat[j].ravel(), KB_hat[j].ravel(), a=-N * gamma)
     q_coeff = scipy.linalg.cho_solve(cho, dataset.q)
     return GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,
-        kgamma_cho=cho, A_hat=A_hat, B_hat=B_hat, q_coeff=q_coeff,
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K, kgamma_cho=cho,
+        A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q_coeff=q_coeff,
     )
 
 
@@ -123,7 +138,7 @@ def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
     h_coeff = np.asarray(h_coeff, dtype=float)
     if h_coeff.shape != (model.n_points,):
         raise ValueError(f"h_coeff must have shape ({model.n_points},)")
-    coeff = model.A_hat @ h_coeff
+    coeff = scipy.linalg.cho_solve(model.kgamma_cho, model.A_target @ h_coeff)
     for j in range(model.n_u):
         if u[j] != 0.0:
             coeff += u[j] * (model.B_hat[j] @ h_coeff)
@@ -166,14 +181,18 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
     }
     save_arrays(
         path,
-        {"X": model.X, "A_hat": model.A_hat, "B_hat": model.B_hat,
-         "q_coeff": model.q_coeff},
+        {"X": model.X, "A_target": model.A_target, "B_hat": model.B_hat,
+         "KB_hat": model.KB_hat, "q_coeff": model.q_coeff},
         meta=meta,
     )
 
 
 def load_model(path):
-    """Load a model archive; returns (model, meta)."""
+    """Load a model archive; returns (model, meta).
+
+    An archive without one of the model's arrays, or with one of the wrong
+    shape, raises ValueError naming it.
+    """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "generator-model":
         raise ValueError(f"{path} is not a generator model archive")
@@ -183,12 +202,15 @@ def load_model(path):
         smoothing_lengthscale_ratio=meta["smoothing_lengthscale_ratio"],
         smoothing_radius=meta["smoothing_radius"],
     )
-    X = arrays["X"]
+    X = require_array(arrays, "X", (None, None), path)
+    N = X.shape[0]
+    B_hat = require_array(arrays, "B_hat", (None, N, N), path)
+    blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
+        ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q_coeff", (N,)))}
     K = kernels.gram_matrix(kernel, X)
     cho = _factor_kgamma(K, meta["gamma"])
     model = GeneratorModel(
         kernel=kernel, X=X, gamma=meta["gamma"], epsilon=meta["epsilon"], K=K,
-        kgamma_cho=cho, A_hat=arrays["A_hat"], B_hat=arrays["B_hat"],
-        q_coeff=arrays["q_coeff"],
+        kgamma_cho=cho, B_hat=B_hat, **blocks,
     )
     return model, meta

@@ -13,17 +13,24 @@ is taken implicitly and the control nonlinearity explicitly,
 
     (I - dt A-hat) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(lambda(w_m))).
 
-The step is applied in operator form.  Setup computes, once,
+The step is applied multiplied through by K_gamma.  With the model's drift
+target T_A = K_gamma A-hat and C_j = K B-hat_j it reads
 
-    M = (I - dt A-hat)^{-1},   c = dt M q,   P = dt M K_gamma^{-1},
+    (K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt K_gamma q + dt D_r(C w_m),
 
-from one LU factorization, its in-place inverse and one Cholesky solve
-with N right-hand sides (about 4 N^3 flops), so that each step
+so neither A-hat nor K_gamma^{-1} is ever formed.  Setup builds
+F = K + N gamma I - dt T_A in place and factors it by LU (about 2/3 N^3
+flops), then solves F c = dt K_gamma q once.  Each step advances by an
+increment,
 
-    w_{m+1} = M w_m + c + P D_r(lambda(w_m))
+    w_{m+1} = w_m + c + F^{-1} (dt T_A w_m + dt D_r(C w_m)),
 
-is 2 + 2 n_u matrix-vector products.  Time is reversed, so step m holds
-the value of a horizon of m dt and the last iterate is the initial-time
+which is 1 + n_u matrix-vector products and one LU solve (two triangular
+sweeps, as many bytes as one more product).  The increment form and the
+LU solve both matter for accuracy: K_gamma w_m cancels heavily when the
+coefficients are large, and applying an explicit inverse of F amplifies
+rounding by up to cond(K_gamma).  Time is reversed, so step m holds the
+value of a horizon of m dt and the last iterate is the initial-time
 coefficient vector v0.
 """
 from __future__ import annotations
@@ -37,7 +44,7 @@ import scipy.linalg
 from . import kernels, penalty as penalty_mod
 from .errors import DivergenceError, StepSizeError, exact_int
 from .generator import GeneratorModel
-from .npzio import load_arrays, save_arrays, write_csv
+from .npzio import load_arrays, require_array, save_arrays, write_csv
 from .penalty import ControlPenalty
 
 
@@ -78,30 +85,28 @@ class HjbSolution:
     trajectory: np.ndarray | None = None
 
 
-def _step_inverse(A_hat: np.ndarray, dt: float) -> np.ndarray:
-    """(I - dt A_hat)^{-1}, built in place in one N x N Fortran array.
+def _step_factor(model: GeneratorModel, dt: float):
+    """LU factors of F = K + N gamma I - dt T_A, built in place in one array.
 
-    Raises StepSizeError when a pivot of the LU factorization is
+    The array is C-ordered, so LAPACK factors its transpose F^T in place;
+    solves with F pass ``trans=1``.  Raises StepSizeError when a pivot is
     numerically zero.
     """
-    N = A_hat.shape[0]
-    step = (-dt * A_hat.T).T  # Fortran order, so LAPACK works in place
-    step[np.diag_indices(N)] += 1.0
+    N = model.n_points
+    F = np.multiply(model.A_target, -dt)
+    F += model.K
+    F[np.diag_indices(N)] += N * model.gamma
     with warnings.catch_warnings():
         # an exactly singular factor is detected below and reported as
         # StepSizeError, so scipy's advisory warning is redundant here
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(step, overwrite_a=True)
-    udiag = np.abs(np.diag(lu))
+        lu_piv = scipy.linalg.lu_factor(F.T, overwrite_a=True)
+    udiag = np.abs(np.diag(lu_piv[0]))
     if udiag.min() <= 1e-14 * max(udiag.max(), 1.0):
         raise StepSizeError(
-            f"I - dt A is numerically singular for dt={dt}; reduce the step"
+            f"K_gamma - dt T_A is numerically singular for dt={dt}; reduce the step"
         )
-    lwork, _ = scipy.linalg.lapack.dgetri_lwork(N)
-    M, info = scipy.linalg.lapack.dgetri(lu, piv, lwork=int(lwork), overwrite_lu=1)
-    if info != 0:
-        raise StepSizeError(f"I - dt A is singular for dt={dt}; reduce the step")
-    return M
+    return lu_piv
 
 
 def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
@@ -114,37 +119,42 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
     if pen is not None and pen.n_u != model.n_u:
         raise ValueError(f"penalty has {pen.n_u} channels, model has {model.n_u}")
     dt = config.dt
-    M = _step_inverse(model.A_hat, dt)
-    c = dt * (M @ model.q_coeff)
-    # an O(N^2) check of the explicit inverse: (I - dt A) c must reproduce
-    # dt q to 1e-6 of the size of its terms (about 1e-15 on the benchmarks)
-    Ac = dt * (model.A_hat @ c)
-    dq = dt * model.q_coeff
-    resid = np.linalg.norm(c - Ac - dq, np.inf)
-    scale = sum(np.linalg.norm(v, np.inf) for v in (c, Ac, dq))
-    if not resid <= 1e-6 * scale:
+    ng = model.n_points * model.gamma
+    lu_piv = _step_factor(model, dt)
+
+    def solve_step(rhs):
+        return scipy.linalg.lu_solve(lu_piv, rhs, trans=1, check_finite=False)
+
+    # c = dt (I - dt A-hat)^{-1} q solves F c = dt K_gamma q.  One step of
+    # iterative refinement checks the solve: its correction estimates the
+    # error of c and must stay within 1e-6 of c (1e-12 to 1.5e-9 on the
+    # benchmarks), which an F too ill-conditioned to solve with fails
+    dkq = model.K @ model.q_coeff
+    dkq += ng * model.q_coeff
+    dkq *= dt
+    c = solve_step(dkq)
+    kc = model.K @ c
+    kc += ng * c
+    fix = solve_step(dkq - (kc - dt * (model.A_target @ c)))
+    c += fix
+    if not np.linalg.norm(fix, np.inf) <= 1e-6 * np.linalg.norm(c, np.inf):
         raise StepSizeError(
-            f"I - dt A is too ill-conditioned to invert for dt={dt}; reduce the step"
+            f"K_gamma - dt T_A is too ill-conditioned to solve with for dt={dt}; "
+            "reduce the step"
         )
-    if pen is not None:
-        # P^T = dt K_gamma^{-1} M^T because K_gamma is symmetric
-        Pt = scipy.linalg.cho_solve(model.kgamma_cho, M.T, check_finite=False)
-        Pt *= dt
-        P = Pt.T
 
     # each step builds a fresh array, so the trajectory can keep the iterates
     w = np.zeros(model.n_points)
     traj = [w] if config.record_trajectory else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(config.horizon_steps):
-            w_next = M @ w
-            w_next += c
+            rhs = model.A_target @ w
             if pen is not None:
                 # lambda at the data points, one column per channel
-                Lam = np.stack([model.K @ (model.B_hat[j] @ w)
-                                for j in range(model.n_u)], axis=1)
-                w_next += P @ penalty_mod.dual_value(pen, Lam)
-            w = w_next
+                Lam = np.stack([model.KB_hat[j] @ w for j in range(model.n_u)], axis=1)
+                rhs += penalty_mod.dual_value(pen, Lam)
+            rhs *= dt
+            w = w + c + solve_step(rhs)
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(f"HJB iterate diverged at step {m}", step=m)
             if traj is not None:
@@ -227,14 +237,20 @@ def load_solution(path, model: GeneratorModel):
     """Load a solution archive and bind it to its fitted model.
 
     Returns (solution, meta); the caller is responsible for checking that
-    the model and solution belong together (config hashes match).
+    the model and solution belong together (config hashes match).  An
+    archive without one of the solution's arrays, or with one whose shape
+    does not fit the model, raises ValueError naming it.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "hjb-solution":
         raise ValueError(f"{path} is not an HJB solution archive")
     config = HjbConfig(dt=meta["dt"], horizon_steps=meta["horizon_steps"])
+    N = model.n_points
+    trajectory = None
+    if "trajectory" in arrays:
+        trajectory = require_array(arrays, "trajectory", (config.horizon_steps + 1, N), path)
     sol = HjbSolution(
-        model=model, config=config, v0=arrays["v0"], bv0=arrays["bv0"],
-        trajectory=arrays.get("trajectory"),
+        model=model, config=config, v0=require_array(arrays, "v0", (N,), path),
+        bv0=require_array(arrays, "bv0", (model.n_u, N), path), trajectory=trajectory,
     )
     return sol, meta

@@ -66,11 +66,13 @@ def _distances(k: KernelSpec, X, Y) -> np.ndarray:
     return cdist(X, Y, "sqeuclidean" if k.family == SQUARED_EXPONENTIAL else "euclidean")
 
 
-def _value(k: KernelSpec, D):
-    """Kernel values at distances D in the family's metric."""
-    if k.family == SQUARED_EXPONENTIAL:
-        return np.exp(-D / k.sigma**2)
-    return np.exp(-D / k.sigma)
+def _value(k: KernelSpec, D, out=None):
+    """Kernel values at distances D in the family's metric, written to
+    ``out`` when given (D itself may be passed)."""
+    scale = k.sigma**2 if k.family == SQUARED_EXPONENTIAL else k.sigma
+    # D / -scale is the same float as -D / scale
+    out = np.divide(D, -scale, out=out)
+    return np.exp(out, out=out)
 
 
 def _smoothing(k: KernelSpec, r):
@@ -84,7 +86,13 @@ def _gaussian_terms(D2, kv, M, epsilon, s, n):
     M *= -(2.0 / s**2)
     M *= kv
     if epsilon:
-        M += epsilon * (kv * (4.0 * D2 / s**4 - 2.0 * n / s**2))
+        # epsilon * (kv * (4 D2 / s^4 - 2 n / s^2)) in one temporary
+        t = np.multiply(D2, 4.0)
+        t /= s**4
+        t -= 2.0 * n / s**2
+        t *= kv
+        t *= epsilon
+        M += t
     return M
 
 
@@ -108,7 +116,13 @@ def _generator_terms(k: KernelSpec, D, kv, M, epsilon: float, n: int):
         M *= -(1.0 / k.sigma)
         M *= kv
         if epsilon:
-            M += epsilon * (kv * (1.0 / k.sigma**2 - (n - 1) / (k.sigma * D)))
+            # epsilon * (kv * (1 / sigma^2 - (n - 1) / (sigma r))) in one temporary
+            t = np.multiply(D, k.sigma)
+            np.divide(n - 1, t, out=t)
+            np.subtract(1.0 / k.sigma**2, t, out=t)
+            t *= kv
+            t *= epsilon
+            M += t
     r2 = D[near] ** 2
     M[near] = _gaussian_terms(r2, np.exp(-r2 / s**2), M_near, epsilon, s, n)
     return M
@@ -159,7 +173,8 @@ def cross_kernel_matrix(k: KernelSpec, X, Y) -> np.ndarray:
     Y = _check_points(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    return _value(k, _distances(k, X, Y))
+    D = _distances(k, X, Y)
+    return _value(k, D, out=D)
 
 
 def cross_kernel_vector(k: KernelSpec, X, x) -> np.ndarray:
@@ -178,31 +193,32 @@ def cross_kernel_vector(k: KernelSpec, X, x) -> np.ndarray:
 def _gram_and_targets(k: KernelSpec, X, fields, epsilon: float):
     """Gram matrix of X and one generator target per drift field.
 
-    Target (i, j) is <F[i], grad_x1 k(X[i], X[j])> plus, for the first field
-    only, epsilon tr hess_x1 k(X[i], X[j]).  All of them come from one
-    distance pass and one kernel evaluation.  A non-finite target entry
-    raises NumericalDomainError.
+    Returns K and a (len(fields), N, N) array whose slice f is the target of
+    field f: entry (i, j) is <F[i], grad_x1 k(X[i], X[j])> plus, for the
+    first field only, epsilon tr hess_x1 k(X[i], X[j]).  All of them come
+    from one distance pass and one kernel evaluation, and each is built in
+    its own slice.  A non-finite target entry raises NumericalDomainError.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     X = _check_points(X)
     D = _distances(k, X, X)
     K = _value(k, D)
-    targets = []
-    for field in fields:
+    targets = np.empty((len(fields),) + K.shape)
+    for f, field in enumerate(fields):
         F = np.asarray(field, dtype=float)
         if F.shape != X.shape:
             raise ValueError(f"field shape {F.shape} does not match points {X.shape}")
         # bad labels surface as the error below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             # <F_i, x_i - x_j> for all pairs, without forming the (N, N, n) tensor
-            M = np.einsum("ij,ij->i", F, X)[:, None] - F @ X.T
-            T = _generator_terms(k, D, K, M, epsilon if not targets else 0.0, X.shape[1])
+            M = np.matmul(F, X.T, out=targets[f])
+            np.subtract(np.einsum("ij,ij->i", F, X)[:, None], M, out=M)
+            T = _generator_terms(k, D, K, M, 0.0 if f else epsilon, X.shape[1])
         if not np.all(np.isfinite(T)):
             i, j = np.argwhere(~np.isfinite(T))[0]
             raise NumericalDomainError(
                 f"non-finite target matrix entry at ({i}, {j})", where=(int(i), int(j)))
-        targets.append(T)
     return K, targets
 
 

@@ -13,7 +13,6 @@ optional config hash goes in a leading ``# config_hash=`` comment.
 """
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 
@@ -29,9 +28,12 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         items["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(items):
-            buf = io.BytesIO()
-            np.save(buf, items[name], allow_pickle=False)
-            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=_EPOCH), buf.getvalue())
+            # streamed into the archive, so no copy of the bytes is held;
+            # zipfile must be told up front when a member may pass 2 GiB
+            info = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
+            big = items[name].nbytes * 1.05 > zipfile.ZIP64_LIMIT
+            with zf.open(info, "w", force_zip64=big) as fh:
+                np.lib.format.write_array(fh, items[name], allow_pickle=False)
 
 
 def load_arrays(path):
@@ -42,6 +44,21 @@ def load_arrays(path):
     if "meta_json" in out:
         meta = json.loads(out.pop("meta_json").item())
     return out, meta
+
+
+def require_array(arrays: dict, name: str, shape: tuple, path) -> np.ndarray:
+    """The archive member ``name``, checked against the expected shape.
+
+    A None entry in ``shape`` matches any length.  A missing member or a
+    wrong shape raises ValueError naming the member.
+    """
+    if name not in arrays:
+        raise ValueError(f"{path} has no array {name!r}")
+    a = arrays[name]
+    if a.ndim != len(shape) or any(w is not None and w != h for w, h in zip(shape, a.shape)):
+        want = "(" + ", ".join("*" if w is None else str(w) for w in shape) + ")"
+        raise ValueError(f"{path}: array {name!r} has shape {a.shape}, expected {want}")
+    return a
 
 
 def write_csv(path, header, rows, config_hash: str | None = None) -> None:

@@ -16,7 +16,7 @@ from genhjb.dynamics import StateGridSpec, generate_dataset, write_dataset
 from genhjb.evaluation import (CostBenchSpec, PipelineSpec, SweepSpec,
                                rmse_to_reference, run_cost_bench,
                                run_pipeline, run_sweep)
-from genhjb.generator import target_kernel_matrix
+from genhjb.generator import solve_regularized, target_kernel_matrix
 from genhjb.hjb import (HjbConfig, policy_at, smoothed_policy_at, solve_fvp,
                         value_on)
 from genhjb.kernels import fd_check_derivatives
@@ -231,7 +231,8 @@ def test_criterion_7_module_invariant_spot_checks(tmp_path):
     model = fit(ds, k1, 1e-6, 0.01)
     kgamma = model.K + 60 * 1e-6 * np.eye(60)
     k0 = target_kernel_matrix(k1, model.X, ds.drift_labels[0], 0.01)
-    assert np.max(np.abs(kgamma @ model.A_hat - k0)) <= 1e-8
+    A_hat = solve_regularized(model, model.A_target)
+    assert np.max(np.abs(kgamma @ A_hat - k0)) <= 1e-8
 
     # semi-implicit two-step recursion against hand-computed iterates
     from genhjb.generator import GeneratorModel
@@ -239,8 +240,8 @@ def test_criterion_7_module_invariant_spot_checks(tmp_path):
         kernel=k1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
         K=np.array([[1.0]]),
         kgamma_cho=scipy.linalg.cho_factor(np.array([[2.0]]), lower=True),
-        A_hat=np.array([[-0.5]]), B_hat=np.array([[[2.0]]]),
-        q_coeff=np.array([1.0]),
+        A_target=np.array([[-1.0]]), B_hat=np.array([[[2.0]]]),
+        KB_hat=np.array([[[2.0]]]), q_coeff=np.array([1.0]),
     )
     sol = solve_fvp(toy, symmetric_box_penalty([0.5], 1.0),
                     HjbConfig(dt=0.1, horizon_steps=2))

@@ -241,6 +241,21 @@ def test_stage_refuses_mismatched_artifacts(pipeline, tmp_path, capsys):
     assert "refusing to mix artifacts" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_path,
+                                                               capsys):
+    # a model archive from before the drift target was stored holds A_hat
+    from genhjb.npzio import load_arrays, save_arrays
+    arrays, meta = load_arrays(pipeline["out"] / "model.npz")
+    old = {"X": arrays["X"], "A_hat": arrays["A_target"], "B_hat": arrays["B_hat"],
+           "q_coeff": arrays["q_coeff"]}
+    save_arrays(tmp_path / "old_model.npz", old, meta=meta)
+    code = cli.main(["solve", "--config", pipeline["cfg"], "--model",
+                     str(tmp_path / "old_model.npz"), "--solution",
+                     str(tmp_path / "s.npz")])
+    assert code == 2
+    assert "no array 'A_target'" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     doc = _config(tmp_path / "o", gamma=1e-18,
                   grid={"bounds": [[0.0, 0.0]], "counts": [2]})

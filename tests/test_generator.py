@@ -84,7 +84,8 @@ def test_fit_single_point_hand_example():
     ds = dataset_from_states(linear_1d_system(a=0.0, epsilon=0.0), X,
                              lambda x: 5.0)
     model = fit(ds, SE1, gamma=1.0, epsilon=0.0)
-    np.testing.assert_allclose(model.A_hat, [[0.0]], atol=1e-15)
+    np.testing.assert_allclose(solve_regularized(model, model.A_target), [[0.0]],
+                               atol=1e-15)
     np.testing.assert_allclose(model.q_coeff, [2.5], rtol=1e-15)
 
 
@@ -95,6 +96,7 @@ def test_fit_zero_input_map_gives_zero_b():
     ds = GeneratorDataset(X=X, drift_labels=labels, q=np.zeros(8))
     model = fit(ds, SE1, 1e-6, 0.0)
     np.testing.assert_allclose(model.B_hat[0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(model.KB_hat[0], 0.0, atol=1e-12)
 
 
 def test_fit_residual_identities():
@@ -108,7 +110,8 @@ def test_fit_residual_identities():
     Kg = model.K + N * 1e-12 * np.eye(N)
     T0 = target_kernel_matrix(k, model.X, ds.drift_labels[0], 0.02)
     dT = target_kernel_matrix(k, model.X, ds.drift_labels[1], 0.02) - T0
-    assert np.linalg.norm(Kg @ model.A_hat - T0) <= 1e-8 * np.linalg.norm(T0)
+    A_hat = solve_regularized(model, model.A_target)
+    assert np.linalg.norm(Kg @ A_hat - T0) <= 1e-8 * np.linalg.norm(T0)
     assert np.linalg.norm(Kg @ model.B_hat[0] - dT) <= 1e-8 * np.linalg.norm(dT)
     qr = scipy.linalg.cho_solve(model.kgamma_cho, ds.q)
     np.testing.assert_allclose(model.q_coeff, qr, rtol=1e-12)
@@ -121,7 +124,47 @@ def test_fit_matches_dense_inverse_small_n():
     model = fit(ds, SE1, 1e-2, 0.0)
     Kg = model.K + 20 * 1e-2 * np.eye(20)
     T0 = target_kernel_matrix(SE1, X, ds.drift_labels[0], 0.0)
-    np.testing.assert_allclose(model.A_hat, np.linalg.inv(Kg) @ T0, atol=1e-10)
+    np.testing.assert_allclose(solve_regularized(model, model.A_target),
+                               np.linalg.inv(Kg) @ T0, atol=1e-10)
+
+
+def _two_input_dataset(n=80, seed=3):
+    # rotation drift with a constant and a state-dependent input column
+    from genhjb.dynamics import GeneratorDataset
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n, 2))
+    f = np.stack([X[:, 1], -X[:, 0]], axis=1)
+    g1 = np.stack([np.ones(n), np.zeros(n)], axis=1)
+    g2 = np.stack([X[:, 0], np.ones(n)], axis=1)
+    return GeneratorDataset(X=X, drift_labels=np.stack([f, f + g1, f + g2]),
+                            q=np.sum(X**2, axis=1))
+
+
+@pytest.mark.parametrize("family", ["squared-exponential", "smoothed-laplace"])
+def test_fit_stores_drift_target_and_k_times_b(family):
+    ds = _two_input_dataset()
+    k = KernelSpec(family, 1.0)
+    model = fit(ds, k, 1e-8, 0.05)
+    np.testing.assert_array_equal(
+        model.A_target, target_kernel_matrix(k, ds.X, ds.drift_labels[0], 0.05))
+    assert model.KB_hat.shape == model.B_hat.shape == (2, 80, 80)
+    for j in range(2):
+        KB = model.K @ model.B_hat[j]
+        assert np.linalg.norm(model.KB_hat[j] - KB) <= 1e-10 * np.linalg.norm(KB)
+
+
+def test_generator_apply_matches_dense_form():
+    ds = _two_input_dataset()
+    model = fit(ds, KernelSpec("smoothed-laplace", 1.0), 1e-6, 0.05)
+    N = model.n_points
+    A_hat = np.linalg.solve(model.K + N * 1e-6 * np.eye(N), model.A_target)
+    rng = np.random.default_rng(0)
+    for u in ([0.0, 0.0], [0.7, -1.3]):
+        h = rng.standard_normal(N)
+        x = rng.uniform(-1, 1, 2)
+        coeff = A_hat @ h + sum(u[j] * (model.B_hat[j] @ h) for j in range(2))
+        want = coeff @ kernels.cross_kernel_vector(model.kernel, model.X, x)
+        assert generator_apply(model, u, h, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_fit_computes_distances_once(monkeypatch):
@@ -148,7 +191,8 @@ def test_fit_shrinks_with_gamma():
                              lambda x: float(x[0]))
     small = fit(ds, SE1, 0.1, 0.0)
     large = fit(ds, SE1, 10.0, 0.0)
-    assert np.linalg.norm(large.A_hat) < np.linalg.norm(small.A_hat)
+    assert np.linalg.norm(solve_regularized(large, large.A_target)) \
+        < np.linalg.norm(solve_regularized(small, small.A_target))
 
 
 def test_fit_validation_and_conditioning():
@@ -207,11 +251,42 @@ def test_model_archive_roundtrip_and_byte_stability(tmp_path):
     assert back.kernel == model.kernel
     assert back.gamma == model.gamma and back.epsilon == model.epsilon
     np.testing.assert_array_equal(back.X, model.X)
-    np.testing.assert_array_equal(back.A_hat, model.A_hat)
+    np.testing.assert_array_equal(back.A_target, model.A_target)
     np.testing.assert_array_equal(back.B_hat, model.B_hat)
+    np.testing.assert_array_equal(back.KB_hat, model.KB_hat)
     np.testing.assert_array_equal(back.q_coeff, model.q_coeff)
     save_model(p2, back, config_hash="beef")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_reloaded_model_solves_to_the_same_bits(tmp_path):
+    from genhjb.hjb import HjbConfig, solve_fvp
+    from genhjb.penalty import symmetric_box_penalty
+    model = fit(_linear_dataset(n=60), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    back, _ = load_model(tmp_path / "m.npz")
+    pen = symmetric_box_penalty([0.5], 5.0)
+    cfg = HjbConfig(dt=0.02, horizon_steps=50)
+    a, b = solve_fvp(model, pen, cfg), solve_fvp(back, pen, cfg)
+    np.testing.assert_array_equal(b.v0, a.v0)
+    np.testing.assert_array_equal(b.bv0, a.bv0)
+
+
+@pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q_coeff"])
+def test_load_model_names_a_missing_or_misshapen_array(tmp_path, name):
+    from genhjb.npzio import load_arrays, save_arrays
+    model = fit(_linear_dataset(n=12), SE1, 1e-6, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    arrays, meta = load_arrays(tmp_path / "m.npz")
+    bad = dict(arrays)
+    bad[name] = arrays[name][:, 0] if name == "X" else arrays[name][..., :-1]
+    save_arrays(tmp_path / "short.npz", bad, meta=meta)
+    with pytest.raises(ValueError, match=f"array '{name}' has shape"):
+        load_model(tmp_path / "short.npz")
+    del bad[name]
+    save_arrays(tmp_path / "missing.npz", bad, meta=meta)
+    with pytest.raises(ValueError, match=f"no array '{name}'"):
+        load_model(tmp_path / "missing.npz")
 
 
 def test_load_model_rejects_other_archives(tmp_path):

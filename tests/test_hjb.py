@@ -16,14 +16,15 @@ from genhjb.systems import linear_1d_system
 SE1 = KernelSpec("squared-exponential", 1.0)
 
 
-def _toy_model(a, b=0.0, q=0.0, K=1.0, kgamma=2.0):
-    """One-point model with prescribed scalar blocks."""
-    Km = np.array([[float(K)]])
-    cho = scipy.linalg.cho_factor(np.array([[float(kgamma)]]), lower=True)
+def _toy_model(a, b=0.0, q=0.0):
+    """One-point model with K = 1, gamma = 1 (so K_gamma = 2) and the scalar
+    blocks A-hat = a, B-hat = b."""
+    K, kgamma = 1.0, 2.0
     return GeneratorModel(
-        kernel=SE1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0, K=Km,
-        kgamma_cho=cho, A_hat=np.array([[float(a)]]),
-        B_hat=np.array([[[float(b)]]]), q_coeff=np.array([float(q)]),
+        kernel=SE1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0, K=np.array([[K]]),
+        kgamma_cho=scipy.linalg.cho_factor(np.array([[kgamma]]), lower=True),
+        A_target=np.array([[kgamma * a]]), B_hat=np.array([[[float(b)]]]),
+        KB_hat=np.array([[[K * b]]]), q_coeff=np.array([float(q)]),
     )
 
 
@@ -95,16 +96,17 @@ def test_step_size_error_on_singular_step_matrix():
 
 
 def test_step_size_error_on_inaccurate_inverse():
-    # I - dt A passes the pivot check (smallest pivot about 1e-13) but its
-    # condition number is about 1e14, so the explicit inverse fails to
-    # reproduce (I - dt A) c = dt q
+    # K = I and N gamma = 1, so K_gamma = 2 I and K_gamma - dt T_A = 2 S.
+    # 2 S passes the pivot check (smallest pivot about 1e-13) but its
+    # condition number is about 1e14, so refining the solve of
+    # (K_gamma - dt T_A) c = dt K_gamma q corrects c by far more than 1e-6
     dt = 0.1
     S = np.array([[0.1, 0.7], [0.3, 2.1 + 3e-13]])
     model = GeneratorModel(
-        kernel=SE1, X=np.array([[0.0], [1.0]]), gamma=1.0, epsilon=0.0,
+        kernel=SE1, X=np.array([[0.0], [1.0]]), gamma=0.5, epsilon=0.0,
         K=np.eye(2), kgamma_cho=scipy.linalg.cho_factor(2.0 * np.eye(2), lower=True),
-        A_hat=(np.eye(2) - S) / dt, B_hat=np.zeros((1, 2, 2)),
-        q_coeff=np.array([1.0, 3.0]),
+        A_target=2.0 * (np.eye(2) - S) / dt, B_hat=np.zeros((1, 2, 2)),
+        KB_hat=np.zeros((1, 2, 2)), q_coeff=np.array([1.0, 3.0]),
     )
     with pytest.raises(StepSizeError, match="ill-conditioned"):
         solve_fvp(model, None, HjbConfig(dt=dt, horizon_steps=3))
@@ -129,10 +131,11 @@ def test_control_term_overflow_raises_divergence():
 
 def _imex_oracle(model, pen, dt, steps):
     """The IMEX recursion with dense solves on I - dt A and on K_gamma:
-    (I - dt A) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(K B_j w_m))."""
+    (I - dt A) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(K B_j w_m)),
+    with A = K_gamma^{-1} T_A from one more dense solve."""
     N = model.n_points
-    S = np.eye(N) - dt * model.A_hat
     Kg = model.K + N * model.gamma * np.eye(N)
+    S = np.eye(N) - dt * np.linalg.solve(Kg, model.A_target)
     w = np.zeros(N)
     for _ in range(steps):
         rhs = w + dt * model.q_coeff
@@ -149,12 +152,13 @@ def _random_two_input_model(N=40, gamma=1e-3, seed=7):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(N, 2))
     K = kernels.gram_matrix(SE1, X)
-    cho = scipy.linalg.cho_factor(K + N * gamma * np.eye(N), lower=True)
+    Kg = K + N * gamma * np.eye(N)
     A = -np.eye(N) + 0.3 * rng.standard_normal((N, N)) / np.sqrt(N)
     B = rng.standard_normal((2, N, N)) / np.sqrt(N)
     return GeneratorModel(
-        kernel=SE1, X=X, gamma=gamma, epsilon=0.0, K=K, kgamma_cho=cho,
-        A_hat=A, B_hat=B, q_coeff=rng.uniform(0.5, 1.5, N),
+        kernel=SE1, X=X, gamma=gamma, epsilon=0.0, K=K,
+        kgamma_cho=scipy.linalg.cho_factor(Kg, lower=True), A_target=Kg @ A,
+        B_hat=B, KB_hat=K @ B, q_coeff=rng.uniform(0.5, 1.5, N),
     )
 
 
@@ -314,6 +318,26 @@ def test_solution_archive_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.trajectory, sol.trajectory)
     save_solution(p2, back, config_hash="f00d")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["v0", "bv0", "trajectory"])
+def test_load_solution_names_a_missing_or_misshapen_array(tmp_path, name):
+    from genhjb.npzio import load_arrays, save_arrays
+    model = _fitted()
+    sol = solve_fvp(model, symmetric_box_penalty([0.5], 5.0),
+                    HjbConfig(dt=0.02, horizon_steps=5, record_trajectory=True))
+    save_solution(tmp_path / "s.npz", sol)
+    arrays, meta = load_arrays(tmp_path / "s.npz")
+    bad = dict(arrays)
+    bad[name] = arrays[name][..., :-1]
+    save_arrays(tmp_path / "short.npz", bad, meta=meta)
+    with pytest.raises(ValueError, match=f"array '{name}' has shape"):
+        load_solution(tmp_path / "short.npz", model)
+    if name != "trajectory":  # the trajectory is optional
+        del bad[name]
+        save_arrays(tmp_path / "missing.npz", bad, meta=meta)
+        with pytest.raises(ValueError, match=f"no array '{name}'"):
+            load_solution(tmp_path / "missing.npz", model)
 
 
 def test_load_solution_rejects_other_archives(tmp_path):
