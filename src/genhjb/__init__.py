@@ -11,7 +11,7 @@ from .dynamics import (ControlAffineSystem, GeneratorDataset, StateGridSpec,
                        drift_under_input, generate_dataset, read_dataset,
                        simulate_closed_loop, write_dataset)
 from .errors import (ConditioningError, ConfigError, DivergenceError,
-                     NumericalDomainError, StepSizeError)
+                     NumericalDomainError, NumericalError, StepSizeError)
 from .evaluation import (CostBenchSpec, PipelineSpec, SweepSpec,
                          rmse_to_reference, run_cost_bench, run_pipeline,
                          run_sweep)
@@ -23,9 +23,8 @@ from .hjb import (HjbConfig, HjbSolution, load_solution, policy_at, policy_on,
 from .kernels import KernelSpec, fd_check_derivatives
 from .penalty import (ControlPenalty, conjugate, dual_value,
                       symmetric_box_penalty, u_star)
-from .systems import (Benchmark, cartpole_intrinsic_system, cartpole_system,
-                      linear_1d_system, linear_2d_system, lqr_feedback,
-                      make_benchmark, pendulum_intrinsic_system,
-                      pendulum_system)
+from .systems import (Benchmark, cartpole_systems, linear_1d_system,
+                      linear_2d_system, lqr_feedback, make_benchmark,
+                      pendulum_systems)
 
 __version__ = "0.1.0"

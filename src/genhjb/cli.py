@@ -21,8 +21,7 @@ import yaml
 from . import evaluation, hjb, systems
 from .dynamics import (StateGridSpec, accumulated_cost, generate_dataset,
                        read_dataset, simulate_closed_loop, write_dataset)
-from .errors import (ConditioningError, ConfigError, DivergenceError,
-                     NumericalDomainError, StepSizeError, exact_int)
+from .errors import ConfigError, NumericalError, exact_int
 from .generator import fit, load_model, min_eig_estimate, save_model
 from .hjb import HjbConfig, load_solution, save_solution, solve_fvp
 from .kernels import KernelSpec
@@ -280,7 +279,7 @@ def _scoring_box(opts: dict, mode: str, n_x: int):
     where = f"eval.{mode}"
     lo = _list(opts, "region_lo", where) if "region_lo" in opts else [-1.0] * n_x
     hi = _list(opts, "region_hi", where) if "region_hi" in opts else [1.0] * n_x
-    n_points = exact_int(opts.get("n_points", 1000), f"{where}.n_points")
+    n_points = exact_int(opts.get("n_points", evaluation.SCORE_POINTS), f"{where}.n_points")
     return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), n_points
 
 
@@ -464,8 +463,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConditioningError, StepSizeError, DivergenceError,
-            NumericalDomainError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # includes ConfigError

@@ -18,6 +18,11 @@ from .errors import ConfigError, DivergenceError, NumericalDomainError, exact_in
 from .npzio import write_csv
 from .penalty import penalty_value
 
+# how drift labels are made when the caller does not say: the drift itself,
+# or central differences of noiseless flows over +-FD_STEP
+LABEL_MODE = "analytic"
+FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
@@ -222,8 +227,8 @@ def generate_dataset(
     system: ControlAffineSystem,
     grid: StateGridSpec,
     stage_cost: Callable[[np.ndarray], float],
-    label_mode: str = "analytic",
-    fd_step: float = 1e-4,
+    label_mode: str = LABEL_MODE,
+    fd_step: float = FD_STEP,
 ) -> GeneratorDataset:
     """Sample drift labels and stage costs on the grid.
 
@@ -244,8 +249,8 @@ def dataset_from_states(
     system: ControlAffineSystem,
     states,
     stage_cost: Callable[[np.ndarray], float],
-    label_mode: str = "analytic",
-    fd_step: float = 1e-4,
+    label_mode: str = LABEL_MODE,
+    fd_step: float = FD_STEP,
 ) -> GeneratorDataset:
     """Like generate_dataset but on an arbitrary (N, n_x) set of states.
 

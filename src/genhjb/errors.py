@@ -20,7 +20,11 @@ def exact_int(value, name: str) -> int:
     return out
 
 
-class ConditioningError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of the numerical breakdowns below; the CLI exits 3 on any of them."""
+
+
+class ConditioningError(NumericalError):
     """A regularized kernel system could not be factorized.
 
     Usually means gamma is too small for the dataset, or duplicate
@@ -28,12 +32,12 @@ class ConditioningError(RuntimeError):
     """
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(NumericalError):
     """The implicit time-stepping matrix is singular for the requested dt,
     or too ill-conditioned to invert accurately."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericalError):
     """An iteration left the numerical domain (blow-up, NaN, Inf)."""
 
     def __init__(self, message: str, step: int | None = None):
@@ -41,7 +45,7 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-class NumericalDomainError(RuntimeError):
+class NumericalDomainError(NumericalError):
     """A model evaluation produced a non-finite value at a specific point."""
 
     def __init__(self, message: str, where=None):

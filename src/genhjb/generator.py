@@ -32,7 +32,7 @@ from . import kernels
 from .dynamics import GeneratorDataset
 from .errors import ConditioningError
 from .kernels import KernelSpec
-from .npzio import load_arrays, require_array, save_arrays
+from .npzio import load_arrays, require_array, require_meta, save_arrays
 
 
 def target_kernel_matrix(kernel: KernelSpec, X, drift, epsilon: float) -> np.ndarray:
@@ -190,27 +190,26 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
 def load_model(path):
     """Load a model archive; returns (model, meta).
 
-    An archive without one of the model's arrays, or with one of the wrong
-    shape, raises ValueError naming it.
+    An archive without one of the model's arrays or metadata entries, or
+    with an array of the wrong shape, raises ValueError naming it.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "generator-model":
         raise ValueError(f"{path} is not a generator model archive")
-    kernel = KernelSpec(
-        family=meta["kernel_family"],
-        sigma=meta["sigma"],
-        smoothing_lengthscale_ratio=meta["smoothing_lengthscale_ratio"],
-        smoothing_radius=meta["smoothing_radius"],
-    )
+    family, sigma, ratio, radius, gamma, epsilon = require_meta(meta, (
+        "kernel_family", "sigma", "smoothing_lengthscale_ratio", "smoothing_radius",
+        "gamma", "epsilon"), path)
+    kernel = KernelSpec(family=family, sigma=sigma, smoothing_lengthscale_ratio=ratio,
+                        smoothing_radius=radius)
     X = require_array(arrays, "X", (None, None), path)
     N = X.shape[0]
     B_hat = require_array(arrays, "B_hat", (None, N, N), path)
     blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
         ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q_coeff", (N,)))}
     K = kernels.gram_matrix(kernel, X)
-    cho = _factor_kgamma(K, meta["gamma"])
+    cho = _factor_kgamma(K, gamma)
     model = GeneratorModel(
-        kernel=kernel, X=X, gamma=meta["gamma"], epsilon=meta["epsilon"], K=K,
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,
         kgamma_cho=cho, B_hat=B_hat, **blocks,
     )
     return model, meta

@@ -44,7 +44,7 @@ import scipy.linalg
 from . import kernels, penalty as penalty_mod
 from .errors import DivergenceError, StepSizeError, exact_int
 from .generator import GeneratorModel
-from .npzio import load_arrays, require_array, save_arrays, write_csv
+from .npzio import load_arrays, require_array, require_meta, save_arrays, write_csv
 from .penalty import ControlPenalty
 
 
@@ -238,13 +238,15 @@ def load_solution(path, model: GeneratorModel):
 
     Returns (solution, meta); the caller is responsible for checking that
     the model and solution belong together (config hashes match).  An
-    archive without one of the solution's arrays, or with one whose shape
-    does not fit the model, raises ValueError naming it.
+    archive without one of the solution's arrays or metadata entries, or
+    with an array whose shape does not fit the model, raises ValueError
+    naming it.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "hjb-solution":
         raise ValueError(f"{path} is not an HJB solution archive")
-    config = HjbConfig(dt=meta["dt"], horizon_steps=meta["horizon_steps"])
+    dt, horizon_steps = require_meta(meta, ("dt", "horizon_steps"), path)
+    config = HjbConfig(dt=dt, horizon_steps=horizon_steps)
     N = model.n_points
     trajectory = None
     if "trajectory" in arrays:

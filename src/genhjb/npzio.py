@@ -61,6 +61,17 @@ def require_array(arrays: dict, name: str, shape: tuple, path) -> np.ndarray:
     return a
 
 
+def require_meta(meta: dict, names, path) -> tuple:
+    """The metadata values under ``names``, in order.
+
+    A missing key raises ValueError naming it.
+    """
+    for name in names:
+        if name not in meta:
+            raise ValueError(f"{path} metadata has no {name!r}")
+    return tuple(meta[name] for name in names)
+
+
 def write_csv(path, header, rows, config_hash: str | None = None) -> None:
     """Write a header line and one line of numbers per row."""
     with open(path, "w", newline="") as fh:

@@ -18,35 +18,24 @@ from .errors import ConfigError
 from .penalty import ControlPenalty, symmetric_box_penalty
 
 
+def _plant(name, n_x, drift, input_map, u_max, epsilon) -> ControlAffineSystem:
+    """A one-input plant with the symmetric box |u| <= u_max."""
+    return ControlAffineSystem(name=name, n_x=n_x, n_u=1, drift=drift, input_map=input_map,
+                               u_min=np.array([-u_max]), u_max=np.array([u_max]),
+                               epsilon=epsilon)
+
+
 def linear_1d_system(a: float = 1.0, b: float = 1.0, u_max: float = 5.0,
                      epsilon: float = 0.01) -> ControlAffineSystem:
     """Scalar unstable plant dx = (a x + b u) dt + sqrt(2 eps) dW."""
-    return ControlAffineSystem(
-        name="linear-1d",
-        n_x=1,
-        n_u=1,
-        drift=lambda x: a * x,
-        input_map=lambda x: np.array([[b]]),
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
+    return _plant("linear-1d", 1, lambda x: a * x, lambda x: np.array([[b]]), u_max, epsilon)
 
 
 def linear_2d_system(u_max: float = 5.0, epsilon: float = 0.01) -> ControlAffineSystem:
     """Double integrator: position-velocity chain driven through the velocity."""
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    return ControlAffineSystem(
-        name="linear-2d",
-        n_x=2,
-        n_u=1,
-        drift=lambda x: A @ x,
-        input_map=lambda x: B,
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
+    return _plant("linear-2d", 2, lambda x: A @ x, lambda x: B, u_max, epsilon)
 
 
 # Pendulum physical constants.  The effective inertia about the pivot is
@@ -54,72 +43,39 @@ def linear_2d_system(u_max: float = 5.0, epsilon: float = 0.01) -> ControlAffine
 _PEND = dict(mass=1.0, gravity=9.81, length=1.0, damping=0.1, inertia=0.0842)
 
 
-def _pendulum_physics(mass, gravity, length, damping, inertia):
-    """Effective inertia J and the zero-torque acceleration omega'(sin t, omega)."""
+def pendulum_systems(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _PEND["mass"],
+                     gravity: float = _PEND["gravity"], length: float = _PEND["length"],
+                     damping: float = _PEND["damping"], inertia: float = _PEND["inertia"]
+                     ) -> tuple[ControlAffineSystem, ControlAffineSystem]:
+    """The torque-driven pendulum as (system, sim_system).
+
+    J omega' = u - damping * omega + m g lc sin(theta), theta = 0 upright.
+    ``system`` is in embedded coordinates (cos t, sin t, omega), for
+    fitting; ``sim_system`` is the same plant in physical coordinates
+    (theta, omega), for rollouts: integrating the embedded state directly
+    does not preserve cos^2 + sin^2 = 1, and at high spin rates the drift
+    off the circle is large enough to distort both the policy input and
+    the measured angle.
+    """
     lc = 0.5 * length
     J = inertia + mass * lc**2
     mglc = mass * gravity * lc
 
     def acceleration(s, w):
         return (mglc * s - damping * w) / J
-    return J, acceleration
-
-
-def pendulum_system(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _PEND["mass"],
-                    gravity: float = _PEND["gravity"], length: float = _PEND["length"],
-                    damping: float = _PEND["damping"],
-                    inertia: float = _PEND["inertia"]) -> ControlAffineSystem:
-    """Torque-driven pendulum in embedded coordinates (cos t, sin t, omega).
-
-    J omega' = u - damping * omega + m g lc sin(theta), theta = 0 upright.
-    """
-    J, acceleration = _pendulum_physics(mass, gravity, length, damping, inertia)
 
     def drift(x):
         c, s, w = x
         return np.array([-s * w, c * w, acceleration(s, w)])
 
-    G = np.array([[0.0], [0.0], [1.0 / J]])
-    return ControlAffineSystem(
-        name="pendulum",
-        n_x=3,
-        n_u=1,
-        drift=drift,
-        input_map=lambda x: G,
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
-
-
-def pendulum_intrinsic_system(epsilon: float = 0.02, u_max: float = 1.5,
-                              mass: float = _PEND["mass"], gravity: float = _PEND["gravity"],
-                              length: float = _PEND["length"], damping: float = _PEND["damping"],
-                              inertia: float = _PEND["inertia"]) -> ControlAffineSystem:
-    """The same pendulum in physical coordinates (theta, omega).
-
-    Use this one for rollout simulation: integrating the embedded state
-    directly does not preserve cos^2 + sin^2 = 1, and at high spin rates the
-    drift off the circle is large enough to distort both the policy input and
-    the measured angle.
-    """
-    J, acceleration = _pendulum_physics(mass, gravity, length, damping, inertia)
-
-    def drift(x):
+    def sim_drift(x):
         t, w = x
         return np.array([w, acceleration(np.sin(t), w)])
 
-    G = np.array([[0.0], [1.0 / J]])
-    return ControlAffineSystem(
-        name="pendulum-intrinsic",
-        n_x=2,
-        n_u=1,
-        drift=drift,
-        input_map=lambda x: G,
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
+    G = np.array([[0.0], [0.0], [1.0 / J]])
+    sim_G = np.array([[0.0], [1.0 / J]])
+    return (_plant("pendulum", 3, drift, lambda x: G, u_max, epsilon),
+            _plant("pendulum-intrinsic", 2, sim_drift, lambda x: sim_G, u_max, epsilon))
 
 
 def pendulum_stage_cost(q_sin: float = 30.0, q_cos: float = 30.0,
@@ -149,13 +105,22 @@ _CART = dict(cart_mass=0.5, pole_mass=0.5, length=1.0, cart_damping=0.05,
              rot_damping=0.05, gravity=9.81, inertia=0.0513)
 
 
-def _cartpole_physics(cart_mass, pole_mass, length, cart_damping, rot_damping,
-                      gravity, inertia):
-    """Cart and pole accelerations (p'', omega') as functions of (cos t, sin t).
+def cartpole_systems(epsilon: float = 0.01, u_max: float = 7.0,
+                     cart_mass: float = _CART["cart_mass"], pole_mass: float = _CART["pole_mass"],
+                     length: float = _CART["length"], cart_damping: float = _CART["cart_damping"],
+                     rot_damping: float = _CART["rot_damping"], gravity: float = _CART["gravity"],
+                     inertia: float = _CART["inertia"]
+                     ) -> tuple[ControlAffineSystem, ControlAffineSystem]:
+    """The cart-and-pole as (system, sim_system).
 
-    Returns ``free(c, s, v, w)``, the accelerations at zero force, and
-    ``per_force(c)``, their change per unit force: Cramer's rule on the
-    mass-matrix system in :func:`cartpole_system`'s docstring.
+    The coupled accelerations solve
+
+        [M + m      m lc c ] [p'']   [u + m lc s w^2 - k v]
+        [m lc c   I + m lc^2] [w''] = [m g lc s - b w      ]
+
+    with theta = 0 the upright pole.  ``system`` is in embedded coordinates
+    (p, v, cos t, sin t, omega); ``sim_system`` is the same plant in
+    physical coordinates (p, v, theta, omega).
     """
     lc = 0.5 * length
     m11 = cart_mass + pole_mass
@@ -163,6 +128,8 @@ def _cartpole_physics(cart_mass, pole_mass, length, cart_damping, rot_damping,
     mlc = pole_mass * lc
     mglc = pole_mass * gravity * lc
 
+    # Cramer's rule: the accelerations at zero force, and their change per
+    # unit force
     def free(c, s, v, w):
         m12 = mlc * c
         det = m11 * m22 - m12 * m12
@@ -174,28 +141,6 @@ def _cartpole_physics(cart_mass, pole_mass, length, cart_damping, rot_damping,
         m12 = mlc * c
         det = m11 * m22 - m12 * m12
         return m22 / det, -m12 / det
-    return free, per_force
-
-
-def cartpole_system(epsilon: float = 0.01, u_max: float = 7.0,
-                    cart_mass: float = _CART["cart_mass"],
-                    pole_mass: float = _CART["pole_mass"],
-                    length: float = _CART["length"],
-                    cart_damping: float = _CART["cart_damping"],
-                    rot_damping: float = _CART["rot_damping"],
-                    gravity: float = _CART["gravity"],
-                    inertia: float = _CART["inertia"]) -> ControlAffineSystem:
-    """Cart-and-pole in embedded coordinates (p, v, cos t, sin t, omega).
-
-    The coupled accelerations solve
-
-        [M + m      m lc c ] [p'']   [u + m lc s w^2 - k v]
-        [m lc c   I + m lc^2] [w''] = [m g lc s - b w      ]
-
-    with theta = 0 the upright pole.
-    """
-    free, per_force = _cartpole_physics(cart_mass, pole_mass, length, cart_damping,
-                                        rot_damping, gravity, inertia)
 
     def drift(x):
         p, v, c, s, w = x
@@ -206,49 +151,17 @@ def cartpole_system(epsilon: float = 0.01, u_max: float = 7.0,
         gp, gw = per_force(x[2])
         return np.array([[0.0], [gp], [0.0], [0.0], [gw]])
 
-    return ControlAffineSystem(
-        name="cartpole",
-        n_x=5,
-        n_u=1,
-        drift=drift,
-        input_map=input_map,
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
-
-
-def cartpole_intrinsic_system(epsilon: float = 0.01, u_max: float = 7.0,
-                              cart_mass: float = _CART["cart_mass"],
-                              pole_mass: float = _CART["pole_mass"],
-                              length: float = _CART["length"],
-                              cart_damping: float = _CART["cart_damping"],
-                              rot_damping: float = _CART["rot_damping"],
-                              gravity: float = _CART["gravity"],
-                              inertia: float = _CART["inertia"]) -> ControlAffineSystem:
-    """The same cartpole in physical coordinates (p, v, theta, omega)."""
-    free, per_force = _cartpole_physics(cart_mass, pole_mass, length, cart_damping,
-                                        rot_damping, gravity, inertia)
-
-    def drift(x):
+    def sim_drift(x):
         p, v, t, w = x
         acc_p, acc_w = free(np.cos(t), np.sin(t), v, w)
         return np.array([v, acc_p, w, acc_w])
 
-    def input_map(x):
+    def sim_input_map(x):
         gp, gw = per_force(np.cos(x[2]))
         return np.array([[0.0], [gp], [0.0], [gw]])
 
-    return ControlAffineSystem(
-        name="cartpole-intrinsic",
-        n_x=4,
-        n_u=1,
-        drift=drift,
-        input_map=input_map,
-        u_min=np.array([-u_max]),
-        u_max=np.array([u_max]),
-        epsilon=epsilon,
-    )
+    return (_plant("cartpole", 5, drift, input_map, u_max, epsilon),
+            _plant("cartpole-intrinsic", 4, sim_drift, sim_input_map, u_max, epsilon))
 
 
 def cartpole_stage_cost(q_tip: float = 10.0, q_upright: float = 100.0,
@@ -336,31 +249,32 @@ def _linear_maps(sys_: ControlAffineSystem):
     return A, sys_.input_map(np.zeros(sys_.n_x))
 
 
-def _linear_1d_benchmark(system_params, cost_params):
-    sys_ = linear_1d_system(**system_params)
-    q_weight = cost_params.pop("q_weight", 1.5)
+def _linear_benchmark(sys_, counts, cost_params, q_default, stage_cost):
+    """A linear plant on [-2, 2]^n_x with stage cost q x'x and r(u) = r u^2 / 2.
+
+    ``stage_cost(q)`` returns the cost function for the weight q.
+    """
+    q_weight = cost_params.pop("q_weight", q_default)
     r_weight = cost_params.pop("r_weight", 0.5)
     _reject_leftover(cost_params)
-    grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(200,))
-    return Benchmark(sys_, grid, lambda x: q_weight * float(x[0]) ** 2,
+    grid = StateGridSpec(bounds=((-2.0, 2.0),) * sys_.n_x, counts=counts)
+    return Benchmark(sys_, grid, stage_cost(q_weight),
                      symmetric_box_penalty([r_weight], sys_.u_max), sys_,
-                     linear=(*_linear_maps(sys_), [[q_weight]]))
+                     linear=(*_linear_maps(sys_), q_weight * np.eye(sys_.n_x)))
+
+
+def _linear_1d_benchmark(system_params, cost_params):
+    return _linear_benchmark(linear_1d_system(**system_params), (200,), cost_params, 1.5,
+                             lambda q: lambda x: q * float(x[0]) ** 2)
 
 
 def _linear_2d_benchmark(system_params, cost_params):
-    sys_ = linear_2d_system(**system_params)
-    q_weight = cost_params.pop("q_weight", 1.0)
-    r_weight = cost_params.pop("r_weight", 0.5)
-    _reject_leftover(cost_params)
-    grid = StateGridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)), counts=(30, 30))
-    return Benchmark(sys_, grid, lambda x: q_weight * float(x @ x),
-                     symmetric_box_penalty([r_weight], sys_.u_max), sys_,
-                     linear=(*_linear_maps(sys_), q_weight * np.eye(2)))
+    return _linear_benchmark(linear_2d_system(**system_params), (30, 30), cost_params, 1.0,
+                             lambda q: lambda x: q * float(x @ x))
 
 
 def _pendulum_benchmark(system_params, cost_params):
-    sys_ = pendulum_system(**system_params)
-    sim = pendulum_intrinsic_system(**system_params)
+    sys_, sim = pendulum_systems(**system_params)
     r_weight = cost_params.pop("r_weight", 0.5)
     cost = pendulum_stage_cost(**cost_params)
     return Benchmark(sys_, pendulum_default_grid(), cost,
@@ -368,9 +282,10 @@ def _pendulum_benchmark(system_params, cost_params):
 
 
 def _cartpole_benchmark(system_params, cost_params):
-    sys_ = cartpole_system(**system_params)
-    sim = cartpole_intrinsic_system(**system_params)
+    sys_, sim = cartpole_systems(**system_params)
     r_weight = cost_params.pop("r_weight", 0.2)
+    # the tip term measures the plant's own pole unless the cost names a length
+    cost_params.setdefault("length", system_params.get("length", _CART["length"]))
     cost = cartpole_stage_cost(**cost_params)
     return Benchmark(sys_, cartpole_default_grid(), cost,
                      symmetric_box_penalty([r_weight], sys_.u_max), sim)

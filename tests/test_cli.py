@@ -256,6 +256,26 @@ def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_pa
     assert "no array 'A_target'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("archive, key", [
+    *(("model", k) for k in ("kernel_family", "sigma", "smoothing_lengthscale_ratio",
+                             "smoothing_radius", "gamma", "epsilon")),
+    *(("solution", k) for k in ("dt", "horizon_steps")),
+])
+def test_archive_without_a_metadata_key_is_rejected(pipeline, tmp_path, capsys, archive,
+                                                     key):
+    from genhjb.npzio import load_arrays, save_arrays
+    arrays, meta = load_arrays(pipeline["out"] / f"{archive}.npz")
+    del meta[key]
+    bad = tmp_path / f"{archive}.npz"
+    save_arrays(bad, arrays, meta=meta)
+    if archive == "model":
+        argv = ["solve", "--model", str(bad), "--solution", str(tmp_path / "s.npz")]
+    else:
+        argv = ["eval", "--mode", "rmse", "--solution", str(bad)]
+    assert cli.main(argv + ["--config", pipeline["cfg"]]) == 2
+    assert f"metadata has no '{key}'" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     doc = _config(tmp_path / "o", gamma=1e-18,
                   grid={"bounds": [[0.0, 0.0]], "counts": [2]})

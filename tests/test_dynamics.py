@@ -14,9 +14,9 @@ from genhjb.dynamics import (ControlAffineSystem, StateGridSpec,
                              simulate_closed_loop, write_dataset)
 from genhjb.errors import ConfigError, DivergenceError
 from genhjb.penalty import symmetric_box_penalty
-from genhjb.systems import (cartpole_intrinsic_system, cartpole_system,
+from genhjb.systems import (cartpole_default_grid, cartpole_systems,
                             linear_1d_system, linear_2d_system, make_benchmark,
-                            pendulum_intrinsic_system, pendulum_system)
+                            pendulum_default_grid, pendulum_systems)
 
 
 def test_drift_under_input_hand_examples():
@@ -26,22 +26,21 @@ def test_drift_under_input_hand_examples():
 
 
 def test_pendulum_upright_equilibrium():
-    sys_ = pendulum_system()
+    sys_, _ = pendulum_systems()
     assert drift_under_input(sys_, [1.0, 0.0, 0.0], [0.0]) == pytest.approx(
         [0.0, 0.0, 0.0])
 
 
 def test_pendulum_torque_scale():
     # J = I + m lc^2 = 0.3342, so unit torque adds 1/J to the spin rate
-    sys_ = pendulum_system()
+    sys_, _ = pendulum_systems()
     d0 = drift_under_input(sys_, [1.0, 0.0, 0.0], [0.0])
     d1 = drift_under_input(sys_, [1.0, 0.0, 0.0], [1.0])
     assert d1[2] - d0[2] == pytest.approx(1.0 / 0.3342, rel=1e-12)
 
 
 def test_embedded_and_intrinsic_pendulum_agree():
-    sysE = pendulum_system()
-    sysI = pendulum_intrinsic_system()
+    sysE, sysI = pendulum_systems()
     rng = np.random.default_rng(0)
     for _ in range(50):
         th, w = rng.uniform(-np.pi, np.pi), rng.uniform(-8, 8)
@@ -55,8 +54,7 @@ def test_embedded_and_intrinsic_pendulum_agree():
 
 
 def test_embedded_and_intrinsic_cartpole_agree():
-    sysE = cartpole_system()
-    sysI = cartpole_intrinsic_system()
+    sysE, sysI = cartpole_systems()
     rng = np.random.default_rng(1)
     for _ in range(50):
         p, v, th, w = rng.uniform(-2, 2, size=4) * [1.0, 1.5, 1.5, 4.0]
@@ -73,7 +71,7 @@ def test_pendulum_matches_hand_formula():
     m, g, l, b, inertia = 1.3, 9.7, 0.8, 0.2, 0.05
     J = inertia + m * (l / 2) ** 2
     params = dict(mass=m, gravity=g, length=l, damping=b, inertia=inertia)
-    sysE, sysI = pendulum_system(**params), pendulum_intrinsic_system(**params)
+    sysE, sysI = pendulum_systems(**params)
     rng = np.random.default_rng(11)
     for th, w, u in rng.uniform(-1, 1, size=(200, 3)) * [np.pi, 9.0, 2.0]:
         want = (u - b * w + m * g * (l / 2) * np.sin(th)) / J
@@ -84,12 +82,12 @@ def test_pendulum_matches_hand_formula():
 
 
 def test_cartpole_matches_mass_matrix_solve():
-    # the 2x2 system in cartpole_system's docstring, solved by LAPACK
+    # the 2x2 system in cartpole_systems's docstring, solved by LAPACK
     M, m, l, k, b, g, inertia = 0.9, 0.3, 1.2, 0.1, 0.02, 9.8, 0.04
     lc = l / 2
     params = dict(cart_mass=M, pole_mass=m, length=l, cart_damping=k,
                   rot_damping=b, gravity=g, inertia=inertia)
-    sysE, sysI = cartpole_system(**params), cartpole_intrinsic_system(**params)
+    sysE, sysI = cartpole_systems(**params)
     rng = np.random.default_rng(12)
     for p, v, th, w, u in rng.uniform(-1, 1, size=(200, 5)) * [2, 3, np.pi, 8, 7]:
         c, s = np.cos(th), np.sin(th)
@@ -100,6 +98,70 @@ def test_cartpole_matches_mass_matrix_solve():
         dI = drift_under_input(sysI, [p, v, th, w], [u])
         assert dE == pytest.approx([v, acc_p, -s * w, c * w, acc_w], rel=1e-10, abs=1e-12)
         assert dI == pytest.approx([v, acc_p, w, acc_w], rel=1e-10, abs=1e-12)
+
+
+def _chain_rule_image(grid, x, f):
+    """The rows of f, a tangent in intrinsic coordinates, carried to the
+    embedded state x = grid.embed(q): d/dt (cos t, sin t) = (-sin t, cos t) t'."""
+    rows, k = [], 0
+    for d in range(grid.n_intrinsic):
+        if d in grid.angle_dims:
+            rows += [-x[k + 1] * f[d], x[k] * f[d]]
+            k += 2
+        else:
+            rows.append(f[d])
+            k += 1
+    return np.array(rows)
+
+
+def _assert_twins_are_one_plant(sysE, sysI, grid, q):
+    x = grid.embed(q)
+    np.testing.assert_array_equal(sysE.drift(x), _chain_rule_image(grid, x, sysI.drift(q)))
+    np.testing.assert_array_equal(sysE.input_map(x),
+                                  _chain_rule_image(grid, x, sysI.input_map(q)))
+    assert sysE.epsilon == sysI.epsilon and sysE.n_u == sysI.n_u
+    np.testing.assert_array_equal(sysE.u_min, sysI.u_min)
+    np.testing.assert_array_equal(sysE.u_max, sysI.u_max)
+
+
+def _pos(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.fixed_dictionaries({
+           "epsilon": _pos(0.0, 0.1), "u_max": _pos(0.1, 20.0), "mass": _pos(0.1, 5.0),
+           "gravity": _pos(1.0, 20.0), "length": _pos(0.1, 3.0), "damping": _pos(0.0, 1.0),
+           "inertia": _pos(1e-3, 1.0)}),
+       q=hnp.arrays(float, 2, elements=_pos(-10.0, 10.0)))
+def test_pendulum_twins_are_one_plant(params, q):
+    _assert_twins_are_one_plant(*pendulum_systems(**params), pendulum_default_grid(), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.fixed_dictionaries({
+           "epsilon": _pos(0.0, 0.1), "u_max": _pos(0.1, 20.0), "cart_mass": _pos(0.1, 5.0),
+           "pole_mass": _pos(0.1, 5.0), "length": _pos(0.1, 3.0),
+           "cart_damping": _pos(0.0, 1.0), "rot_damping": _pos(0.0, 1.0),
+           "gravity": _pos(1.0, 20.0), "inertia": _pos(1e-3, 1.0)}),
+       q=hnp.arrays(float, 4, elements=_pos(-10.0, 10.0)))
+def test_cartpole_twins_are_one_plant(params, q):
+    _assert_twins_are_one_plant(*cartpole_systems(**params), cartpole_default_grid(), q)
+
+
+@pytest.mark.parametrize("system_params, cost_params, length", [
+    ({"length": 2.0}, {}, 2.0),                      # the plant's own pole
+    ({"length": 2.0}, {"length": 1.0}, 1.0),         # cost.params.length wins
+    ({}, {}, 1.0),
+])
+def test_cartpole_cost_measures_the_pole_length(system_params, cost_params, length):
+    # q = q_tip (p - l s)^2 + q_upright l^2 (c - 1)^2 + v^2 + w^2 at a tilt of
+    # 0.3 rad with the cart at rest at the origin
+    bench = make_benchmark("cartpole", system_params=system_params, cost_params=cost_params)
+    th = 0.3
+    want = 10.0 * (length * np.sin(th)) ** 2 + 100.0 * length**2 * (np.cos(th) - 1.0) ** 2
+    x = bench.grid.embed_point([0.0, 0.0, th, 0.0])
+    assert bench.stage_cost(x) == pytest.approx(want, rel=1e-13)
 
 
 def test_grid_points_and_embedding():
@@ -202,7 +264,7 @@ def test_channel_differences_recover_input_map_columns():
 def test_fd_labels_second_order_on_pendulum():
     # central differences of the noiseless flow: halving h divides the error
     # by about 4
-    sys_ = pendulum_system()
+    sys_, _ = pendulum_systems()
     th = 2.0
     X = np.array([[np.cos(th), np.sin(th), 1.3]])
     exact = dataset_from_states(sys_, X, lambda x: 0.0)
@@ -341,7 +403,7 @@ def test_simulation_rejects_fractional_counts():
 def test_rk4_flow_preserves_circle_constraint():
     # the noiseless deterministic integrator holds cos^2 + sin^2 = 1 to well
     # below 1e-6 per unit time at millisecond substeps
-    sys_ = pendulum_system()
+    sys_, _ = pendulum_systems()
     x = np.array([np.cos(0.3), np.sin(0.3), 0.0])
     worst = 0.0
     for _ in range(1000):
@@ -353,7 +415,7 @@ def test_rk4_flow_preserves_circle_constraint():
 def test_euler_circle_drift_is_first_order():
     # Euler on the embedded state leaks off the circle at O(dt) per unit
     # time; this is why rollouts integrate the intrinsic coordinates
-    sys_ = pendulum_system(epsilon=0.0)
+    sys_, _ = pendulum_systems(epsilon=0.0)
     drifts = []
     for dt in (1e-3, 5e-4):
         states, _ = simulate_closed_loop(sys_, lambda x: np.zeros(1),
