@@ -21,8 +21,8 @@ from .hjb import (HjbConfig, HjbSolution, load_solution, policy_at, policy_on,
                   save_solution, smoothed_policy_at, solve_fvp, value_at,
                   value_on)
 from .kernels import KernelSpec, fd_check_derivatives
-from .penalty import (ControlPenalty, conjugate, dual_value,
-                      symmetric_box_penalty, u_star)
+from .penalty import (ControlPenalty, dual_value, symmetric_box_penalty,
+                      u_star)
 from .systems import (Benchmark, cartpole_systems, linear_1d_system,
                       linear_2d_system, lqr_feedback, make_benchmark,
                       pendulum_systems)

@@ -34,7 +34,7 @@ _TOP_KEYS = {"system", "cost", "grid", "kernel", "penalty", "gamma", "dt",
 _SYSTEM_KEYS = {"name", "epsilon", "u_max", "params"}
 _COST_KEYS = {"params"}
 _GRID_KEYS = {"bounds", "counts", "angle_dims"}
-_KERNEL_KEYS = {"family", "sigma", "smoothing_lengthscale_ratio", "smoothing_radius"}
+_KERNEL_KEYS = {"family", "sigma"}
 _PENALTY_KEYS = {"weights", "u_min", "u_max"}
 _EVAL_MODES = {
     "rmse": {"region_lo", "region_hi", "n_points"},
@@ -95,8 +95,8 @@ class ExperimentConfig:
         if "family" not in kernel or "sigma" not in kernel:
             raise ConfigError("kernel.family and kernel.sigma are required")
         try:
-            shape = {k: float(v) for k, v in kernel.items() if k != "family"}
-            self.kernel = KernelSpec(family=str(kernel["family"]), **shape)
+            self.kernel = KernelSpec(family=str(kernel["family"]),
+                                     sigma=float(kernel["sigma"]))
         except ValueError as exc:
             raise ConfigError(f"bad kernel: {exc}") from None
 
@@ -277,10 +277,14 @@ def _mode_cfg(cfg: ExperimentConfig, mode: str) -> dict:
 def _scoring_box(opts: dict, mode: str, n_x: int):
     """Sampling box and sample count that rmse and sweep score policies on."""
     where = f"eval.{mode}"
-    lo = _list(opts, "region_lo", where) if "region_lo" in opts else [-1.0] * n_x
-    hi = _list(opts, "region_hi", where) if "region_hi" in opts else [1.0] * n_x
+    box = []
+    for key, default in (("region_lo", -1.0), ("region_hi", 1.0)):
+        bound = _list(opts, key, where) if key in opts else [default] * n_x
+        if len(bound) != n_x:
+            raise ConfigError(f"{where}.{key} must have {n_x} entries, got {len(bound)}")
+        box.append(np.asarray(bound, dtype=float))
     n_points = exact_int(opts.get("n_points", evaluation.SCORE_POINTS), f"{where}.n_points")
-    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), n_points
+    return box[0], box[1], n_points
 
 
 def _rollout_opts(opts: dict):

@@ -22,6 +22,8 @@ from .penalty import penalty_value
 # or central differences of noiseless flows over +-FD_STEP
 LABEL_MODE = "analytic"
 FD_STEP = 1e-4
+# a rollout state whose Euclidean norm exceeds this has diverged
+BLOWUP_NORM = 1e6
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,6 @@ def simulate_closed_loop(
     seed: int = 0,
     noise: bool = True,
     control_interval: int = 1,
-    blowup_norm: float = 1e6,
 ):
     """Euler-Maruyama rollout under a state feedback policy.
 
@@ -305,14 +306,12 @@ def simulate_closed_loop(
     constant in between (zero-order hold); inputs are clipped to the
     system's box before use and recorded post-clipping.  Returns
     (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).  A state
-    that is not finite or whose norm exceeds ``blowup_norm`` raises
+    that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
     DivergenceError with the step that produced it.
     """
     x = _state(system, x0)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (np.isfinite(blowup_norm) and blowup_norm > 0):
-        raise ValueError(f"blowup_norm must be positive and finite, got {blowup_norm}")
     steps = exact_int(steps, "steps")
     control_interval = exact_int(control_interval, "control_interval")
     if steps < 1:
@@ -322,7 +321,7 @@ def simulate_closed_loop(
     rng = np.random.default_rng(seed)
     noise_scale = np.sqrt(2.0 * system.epsilon * dt)
     noisy = noise and system.epsilon > 0
-    drift, input_map = system.drift, system.input_map
+    drift, input_map, blowup_norm = system.drift, system.input_map, BLOWUP_NORM
 
     states = np.empty((steps + 1, system.n_x))
     inputs = np.empty((steps, system.n_u))

@@ -3,6 +3,7 @@
 Callers that drive full pipelines (CLI, sweeps) catch these to distinguish
 bad inputs from numerical breakdown from I/O trouble.
 """
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -10,12 +11,13 @@ class ConfigError(ValueError):
 
 
 def exact_int(value, name: str) -> int:
-    """``value`` as an int; a fraction is rejected instead of truncated."""
+    """``value`` as an int; a fraction is rejected instead of truncated, and
+    a boolean (YAML ``true``) instead of read as 1 or 0."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out != value:
+    if out is None or out != value or isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return out
 

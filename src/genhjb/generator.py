@@ -145,13 +145,14 @@ def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
     return float(coeff @ kernels.cross_kernel_vector(model.kernel, model.X, x))
 
 
-def min_eig_estimate(model: GeneratorModel, iters: int = 30, seed: int = 0) -> float:
-    """Smallest eigenvalue of K_gamma, estimated by inverse power iteration."""
-    rng = np.random.default_rng(seed)
+def min_eig_estimate(model: GeneratorModel) -> float:
+    """Smallest eigenvalue of K_gamma, estimated by 30 steps of inverse power
+    iteration from a random start vector drawn with seed 0."""
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(model.n_points)
     v /= np.linalg.norm(v)
     lam_inv = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         w = scipy.linalg.cho_solve(model.kgamma_cho, v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -173,8 +174,6 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
         "kind": "generator-model",
         "kernel_family": model.kernel.family,
         "sigma": model.kernel.sigma,
-        "smoothing_lengthscale_ratio": model.kernel.smoothing_lengthscale_ratio,
-        "smoothing_radius": model.kernel.smoothing_radius,
         "gamma": model.gamma,
         "epsilon": model.epsilon,
         "config_hash": config_hash,
@@ -191,16 +190,16 @@ def load_model(path):
     """Load a model archive; returns (model, meta).
 
     An archive without one of the model's arrays or metadata entries, or
-    with an array of the wrong shape, raises ValueError naming it.
+    with an array of the wrong shape, raises ValueError naming it.  Older
+    archives also carry the smoothed Laplace surrogate's radius and ratio;
+    those keys are ignored, since the surrogate is fixed in ``kernels``.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "generator-model":
         raise ValueError(f"{path} is not a generator model archive")
-    family, sigma, ratio, radius, gamma, epsilon = require_meta(meta, (
-        "kernel_family", "sigma", "smoothing_lengthscale_ratio", "smoothing_radius",
-        "gamma", "epsilon"), path)
-    kernel = KernelSpec(family=family, sigma=sigma, smoothing_lengthscale_ratio=ratio,
-                        smoothing_radius=radius)
+    family, sigma, gamma, epsilon = require_meta(
+        meta, ("kernel_family", "sigma", "gamma", "epsilon"), path)
+    kernel = KernelSpec(family=family, sigma=sigma)
     X = require_array(arrays, "X", (None, None), path)
     N = X.shape[0]
     B_hat = require_array(arrays, "B_hat", (None, N, N), path)

@@ -50,15 +50,11 @@ from .penalty import ControlPenalty
 
 @dataclass(frozen=True)
 class HjbConfig:
-    """Time-stepping parameters for the final-value problem.
-
-    ``record_trajectory`` stores every iterate, (horizon_steps + 1, N)
-    floats, so leave it off for large runs.
-    """
+    """Time-stepping parameters for the final-value problem: step ``dt``
+    and the number of backward steps ``horizon_steps``."""
 
     dt: float
     horizon_steps: int
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -74,15 +70,13 @@ class HjbSolution:
     """Solved value function and the pieces needed to evaluate feedback.
 
     ``v0`` are the value coefficients at initial time; ``bv0[j] = B-hat_j v0``
-    gives the policy's dual variables via kernel evaluation.  ``trajectory``
-    (optional) stacks the coefficient iterates from final to initial time.
+    gives the policy's dual variables via kernel evaluation.
     """
 
     model: GeneratorModel
     config: HjbConfig
     v0: np.ndarray
     bv0: np.ndarray
-    trajectory: np.ndarray | None = None
 
 
 def _step_factor(model: GeneratorModel, dt: float):
@@ -143,9 +137,7 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
             "reduce the step"
         )
 
-    # each step builds a fresh array, so the trajectory can keep the iterates
     w = np.zeros(model.n_points)
-    traj = [w] if config.record_trajectory else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(config.horizon_steps):
             rhs = model.A_target @ w
@@ -157,14 +149,9 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
             w = w + c + solve_step(rhs)
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(f"HJB iterate diverged at step {m}", step=m)
-            if traj is not None:
-                traj.append(w)
 
     bv0 = np.stack([model.B_hat[j] @ w for j in range(model.n_u)], axis=0)
-    return HjbSolution(
-        model=model, config=config, v0=w, bv0=bv0,
-        trajectory=np.array(traj) if traj is not None else None,
-    )
+    return HjbSolution(model=model, config=config, v0=w, bv0=bv0)
 
 
 def value_at(sol: HjbSolution, x) -> float:
@@ -227,10 +214,7 @@ def save_solution(path, sol: HjbSolution, config_hash: str | None = None) -> Non
         "horizon_steps": sol.config.horizon_steps,
         "config_hash": config_hash,
     }
-    arrays = {"v0": sol.v0, "bv0": sol.bv0}
-    if sol.trajectory is not None:
-        arrays["trajectory"] = sol.trajectory
-    save_arrays(path, arrays, meta=meta)
+    save_arrays(path, {"v0": sol.v0, "bv0": sol.bv0}, meta=meta)
 
 
 def load_solution(path, model: GeneratorModel):
@@ -248,11 +232,8 @@ def load_solution(path, model: GeneratorModel):
     dt, horizon_steps = require_meta(meta, ("dt", "horizon_steps"), path)
     config = HjbConfig(dt=dt, horizon_steps=horizon_steps)
     N = model.n_points
-    trajectory = None
-    if "trajectory" in arrays:
-        trajectory = require_array(arrays, "trajectory", (config.horizon_steps + 1, N), path)
     sol = HjbSolution(
         model=model, config=config, v0=require_array(arrays, "v0", (N,), path),
-        bv0=require_array(arrays, "bv0", (model.n_u, N), path), trajectory=trajectory,
+        bv0=require_array(arrays, "bv0", (model.n_u, N), path),
     )
     return sol, meta

@@ -9,13 +9,15 @@ state dimension:
 squared exponential, lengthscale s = sigma:
     k = exp(-D / s^2)     g = -(2 / s^2) k     h = k (4 D / s^4 - 2 n / s^2)
 
-smoothed Laplace, r > smoothing_radius:
+smoothed Laplace, r > SMOOTHING_RADIUS:
     k = exp(-r / sigma)   g = -(1 / sigma) k / r
     h = k (1 / sigma^2 - (n - 1) / (sigma r))
 
 surrogate: the Laplace kernel is not differentiable on the diagonal, so for
-r <= smoothing_radius its g and h are the squared exponential's with
-s = sigma / smoothing_lengthscale_ratio at D = r^2.  k is never replaced.
+r <= SMOOTHING_RADIUS its g and h are the squared exponential's with
+s = sigma / SMOOTHING_RATIO at D = r^2.  k is never replaced, so the two
+constants act only on the generator targets, never on K or a cross-kernel
+value.
 
 The generator applies the gradient only along a drift v, so the profile is
 evaluated as <v, grad_x k> + eps h from <v, x - y>.
@@ -32,20 +34,21 @@ from .errors import NumericalDomainError
 SQUARED_EXPONENTIAL = "squared-exponential"
 SMOOTHED_LAPLACE = "smoothed-laplace"
 _FAMILIES = (SQUARED_EXPONENTIAL, SMOOTHED_LAPLACE)
+# the smoothed Laplace surrogate: its radius and sigma over its lengthscale
+SMOOTHING_RADIUS = 1e-8
+SMOOTHING_RATIO = 100.0
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its shape parameters.
+    """Kernel family and lengthscale ``sigma``.
 
-    ``smoothing_lengthscale_ratio`` and ``smoothing_radius`` only matter for
-    the smoothed Laplace family; they are ignored by the squared exponential.
+    The smoothed Laplace family's surrogate near the diagonal is fixed by
+    the module constants ``SMOOTHING_RADIUS`` and ``SMOOTHING_RATIO``.
     """
 
     family: str
     sigma: float
-    smoothing_lengthscale_ratio: float = 100.0
-    smoothing_radius: float = 1e-8
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -54,11 +57,6 @@ class KernelSpec:
             )
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (np.isfinite(self.smoothing_lengthscale_ratio)
-                and self.smoothing_lengthscale_ratio > 0):
-            raise ValueError("smoothing_lengthscale_ratio must be positive")
-        if not (np.isfinite(self.smoothing_radius) and self.smoothing_radius >= 0):
-            raise ValueError("smoothing_radius must be nonnegative")
 
 
 def _distances(k: KernelSpec, X, Y) -> np.ndarray:
@@ -78,7 +76,7 @@ def _value(k: KernelSpec, D, out=None):
 def _smoothing(k: KernelSpec, r):
     """Mask of the Laplace pairs within the smoothing radius, and the
     surrogate lengthscale their derivatives use."""
-    return r <= k.smoothing_radius, k.sigma / k.smoothing_lengthscale_ratio
+    return r <= SMOOTHING_RADIUS, k.sigma / SMOOTHING_RATIO
 
 
 def _gaussian_terms(D2, kv, M, epsilon, s, n):

@@ -8,7 +8,6 @@ The pointwise minimization that the HJB recursion needs,
 
 has the closed-form minimizer u*_j = clip(-lam_j / (2 w_j), lo_j, hi_j).
 Since u = 0 is feasible and r(0) = 0, dual_value(lam) <= 0 for every lam.
-The convex conjugate on the box is r*(lam) = -dual_value(-lam).
 """
 from __future__ import annotations
 
@@ -76,13 +75,6 @@ def dual_value(p: ControlPenalty, lam):
     u = u_star(p, lam)
     out = np.sum(p.weights * u**2 + lam * u, axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def conjugate(p: ControlPenalty, lam):
-    """Convex conjugate r*(lam) = max_u ( <lam, u> - r(u) ) over the box."""
-    lam = _lam(p, lam)
-    neg = dual_value(p, -lam)
-    return -neg
 
 
 def penalty_value(p: ControlPenalty, u):

@@ -87,12 +87,11 @@ def pendulum_stage_cost(q_sin: float = 30.0, q_cos: float = 30.0,
     return cost
 
 
-def pendulum_default_grid(theta_count: int = 50, omega_count: int = 50,
-                          theta_frac: float = 0.99,
-                          omega_max: float = 10.0) -> StateGridSpec:
-    tmax = theta_frac * np.pi
+def pendulum_default_grid(theta_count: int = 50, omega_count: int = 50) -> StateGridSpec:
+    """(theta, omega) on [-0.99 pi, 0.99 pi] x [-10, 10], theta embedded."""
+    tmax = 0.99 * np.pi
     return StateGridSpec(
-        bounds=((-tmax, tmax), (-omega_max, omega_max)),
+        bounds=((-tmax, tmax), (-10.0, 10.0)),
         counts=(theta_count, omega_count),
         angle_dims=(0,),
     )
@@ -181,18 +180,20 @@ def cartpole_stage_cost(q_tip: float = 10.0, q_upright: float = 100.0,
     return cost
 
 
-def cartpole_default_grid(counts=(9, 7, 23, 23), p_max: float = 2.5, v_max: float = 3.0,
-                          theta_frac: float = 0.99, omega_max: float = 8.0) -> StateGridSpec:
-    tmax = theta_frac * np.pi
+def cartpole_default_grid() -> StateGridSpec:
+    """(p, v, theta, omega) on [-2.5, 2.5] x [-3, 3] x [-0.99 pi, 0.99 pi] x
+    [-8, 8] with 9 x 7 x 23 x 23 nodes, theta embedded."""
+    tmax = 0.99 * np.pi
     return StateGridSpec(
-        bounds=((-p_max, p_max), (-v_max, v_max), (-tmax, tmax), (-omega_max, omega_max)),
-        counts=tuple(counts),
+        bounds=((-2.5, 2.5), (-3.0, 3.0), (-tmax, tmax), (-8.0, 8.0)),
+        counts=(9, 7, 23, 23),
         angle_dims=(2,),
     )
 
 
-def lqr_feedback(A, B, Q, R, u_min=None, u_max=None) -> Callable:
-    """Continuous-time LQR state feedback u = -R^-1 B' P x, optionally clipped.
+def lqr_feedback(A, B, Q, R, u_min, u_max) -> Callable:
+    """Continuous-time LQR state feedback u = -R^-1 B' P x, clipped to the
+    box [u_min, u_max].
 
     P solves the algebraic Riccati equation A'P + PA - P B R^-1 B' P + Q = 0.
     """
@@ -204,10 +205,7 @@ def lqr_feedback(A, B, Q, R, u_min=None, u_max=None) -> Callable:
     K = np.linalg.solve(R, B.T @ P)
 
     def policy(x):
-        u = -K @ np.asarray(x, dtype=float)
-        if u_min is not None or u_max is not None:
-            u = np.clip(u, u_min, u_max)
-        return u
+        return np.clip(-K @ np.asarray(x, dtype=float), u_min, u_max)
     return policy
 
 

@@ -194,6 +194,11 @@ def _exit_code_with(pipeline, tmp_path, key, value, also=None):
                  id="eval.cost-bench.n_rollouts-2.5"),
     pytest.param("eval.sweep.values", [400.7], {"eval.sweep.variable": "dataset_size"},
                  id="eval.sweep.values-dataset_size-400.7"),
+    # YAML true and false are booleans, not 1 and 0
+    pytest.param("horizon_steps", True, None, id="horizon_steps-true"),
+    pytest.param("grid.counts", [True], None, id="grid.counts-true"),
+    pytest.param("seed", False, None, id="seed-false"),
+    pytest.param("eval.rmse.n_points", True, None, id="eval.rmse.n_points-true"),
 ])
 def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, also):
     assert _exit_code_with(pipeline, tmp_path, key, value, also) == 2
@@ -217,6 +222,30 @@ def test_scalar_for_a_list_is_rejected(pipeline, tmp_path, capsys, key, value):
 def test_rollout_rejects_nonpositive_timing(pipeline, tmp_path, capsys, key, value):
     assert _exit_code_with(pipeline, tmp_path, key, value) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["rmse", "sweep"])
+@pytest.mark.parametrize("key", ["region_lo", "region_hi"])
+def test_scoring_box_of_the_wrong_length_is_rejected(pipeline, tmp_path, capsys, mode,
+                                                     key):
+    # checked before any archive is loaded or any pipeline is run
+    doc = _config(tmp_path / "o")
+    doc["eval"][mode][key] = [-1.0, 1.0]  # linear-1d has one state
+    cfg = _write(tmp_path / "c.yaml", doc)
+    argv = ["eval", "--mode", mode, "--config", cfg, "--model",
+            str(pipeline["out"] / "model.npz"), "--solution",
+            str(pipeline["out"] / "solution.npz")]
+    assert cli.main(argv) == 2
+    assert f"eval.{mode}.{key} must have 1 entries, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_smoothing_key_in_kernel_is_rejected(tmp_path, capsys):
+    doc = _config(tmp_path / "o")
+    doc["kernel"]["smoothing_radius"] = 1e-8
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["gen-data", "--config", cfg]) == 2
+    assert "unknown keys in kernel: ['smoothing_radius']" in capsys.readouterr().err
 
 
 def test_readme_config_is_accepted():
@@ -257,8 +286,7 @@ def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_pa
 
 
 @pytest.mark.parametrize("archive, key", [
-    *(("model", k) for k in ("kernel_family", "sigma", "smoothing_lengthscale_ratio",
-                             "smoothing_radius", "gamma", "epsilon")),
+    *(("model", k) for k in ("kernel_family", "sigma", "gamma", "epsilon")),
     *(("solution", k) for k in ("dt", "horizon_steps")),
 ])
 def test_archive_without_a_metadata_key_is_rejected(pipeline, tmp_path, capsys, archive,

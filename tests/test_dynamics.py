@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from genhjb.dynamics import (ControlAffineSystem, StateGridSpec,
+from genhjb.dynamics import (BLOWUP_NORM, ControlAffineSystem, StateGridSpec,
                              accumulated_cost,
                              dataset_from_states, drift_under_input, flow,
                              generate_dataset, read_dataset,
@@ -345,27 +345,19 @@ def test_zero_order_hold_interval():
 
 def test_simulation_divergence_error():
     # zero input on dx = a x dt: x_k = (1 + a dt)^k x0, so the first state
-    # past the bound is x_first, produced by step first - 1
-    a, dt, x0, bound = 100.0, 0.1, -0.7, 1e3
+    # past BLOWUP_NORM is x_first, produced by step first - 1
+    a, dt, x0 = 100.0, 0.1, -0.7
     sys_ = linear_1d_system(a=a, epsilon=0.0)
     growth = 1.0 + a * dt
-    first = next(k for k in range(1, 100) if growth**k * abs(x0) > bound)
+    first = next(k for k in range(1, 100) if growth**k * abs(x0) > BLOWUP_NORM)
     with pytest.raises(DivergenceError) as exc:
         simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
-                             steps=500, noise=False, blowup_norm=bound)
+                             steps=500, noise=False)
     assert exc.value.step == first - 1
     states, _ = simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
-                                     steps=first - 1, noise=False,
-                                     blowup_norm=bound)
+                                     steps=first - 1, noise=False)
     np.testing.assert_allclose(states[:, 0], x0 * growth ** np.arange(first),
                                rtol=1e-13)
-    # the per-step test is one comparison, so the bound itself must be a
-    # positive finite number: with inf an inf state would pass it, with NaN
-    # every state would fail it
-    for bad in (np.inf, np.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="blowup_norm"):
-            simulate_closed_loop(sys_, lambda x: np.zeros(1), [x0], dt=dt,
-                                 steps=5, noise=False, blowup_norm=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

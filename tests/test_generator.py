@@ -272,6 +272,27 @@ def test_reloaded_model_solves_to_the_same_bits(tmp_path):
     np.testing.assert_array_equal(b.bv0, a.bv0)
 
 
+def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):
+    # archives written while the smoothed Laplace surrogate was configurable
+    # carry its radius and ratio; they are ignored on load
+    from genhjb.hjb import HjbConfig, solve_fvp
+    from genhjb.npzio import load_arrays, save_arrays
+    from genhjb.penalty import symmetric_box_penalty
+    model = fit(_linear_dataset(n=60), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    arrays, meta = load_arrays(tmp_path / "m.npz")
+    assert "smoothing_radius" not in meta and "smoothing_lengthscale_ratio" not in meta
+    meta.update(smoothing_lengthscale_ratio=100.0, smoothing_radius=1e-8)
+    save_arrays(tmp_path / "old.npz", arrays, meta=meta)
+    back, _ = load_model(tmp_path / "old.npz")
+    assert back.kernel == model.kernel
+    pen = symmetric_box_penalty([0.5], 5.0)
+    cfg = HjbConfig(dt=0.02, horizon_steps=50)
+    a, b = solve_fvp(model, pen, cfg), solve_fvp(back, pen, cfg)
+    np.testing.assert_array_equal(b.v0, a.v0)
+    np.testing.assert_array_equal(b.bv0, a.bv0)
+
+
 @pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q_coeff"])
 def test_load_model_names_a_missing_or_misshapen_array(tmp_path, name):
     from genhjb.npzio import load_arrays, save_arrays

@@ -43,6 +43,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="horizon_steps must be an integer"):
         HjbConfig(dt=0.1, horizon_steps=1.9)
     assert HjbConfig(dt=0.1, horizon_steps=2.0).horizon_steps == 2
+    for flag in (True, np.True_):  # a boolean is not read as 1
+        with pytest.raises(ValueError, match="horizon_steps must be an integer"):
+            HjbConfig(dt=0.1, horizon_steps=flag)
 
 
 def test_zero_cost_zero_control_stays_zero():
@@ -71,22 +74,10 @@ def test_semi_implicit_two_steps_hand_recursion():
     # with d = -lam^2/4 after the interior minimization, lam = 2 w1
     model = _toy_model(a=-0.5, b=2.0, q=1.0)
     pen = symmetric_box_penalty([0.5], 1.0)
-    sol = solve_fvp(model, pen, HjbConfig(dt=0.1, horizon_steps=2,
-                                          record_trajectory=True))
-    np.testing.assert_allclose(sol.trajectory[:, 0],
-                               [0.0, 0.09523809523809523, 0.18507720548536874],
-                               rtol=1e-14)
-    assert sol.v0[0] == pytest.approx(0.18507720548536874, rel=1e-14)
-    assert sol.bv0[0, 0] == pytest.approx(2.0 * sol.v0[0], rel=1e-15)
-
-
-def test_trajectory_recording_shape_and_anchors():
-    model = _fitted()
-    sol = solve_fvp(model, None, HjbConfig(dt=0.02, horizon_steps=7,
-                                           record_trajectory=True))
-    assert sol.trajectory.shape == (8, model.n_points)
-    np.testing.assert_array_equal(sol.trajectory[0], 0.0)
-    np.testing.assert_array_equal(sol.trajectory[-1], sol.v0)
+    w1, w2 = (solve_fvp(model, pen, HjbConfig(dt=0.1, horizon_steps=m)) for m in (1, 2))
+    assert w1.v0[0] == pytest.approx(0.09523809523809523, rel=1e-14)
+    assert w2.v0[0] == pytest.approx(0.18507720548536874, rel=1e-14)
+    assert w2.bv0[0, 0] == pytest.approx(2.0 * w2.v0[0], rel=1e-15)
 
 
 def test_step_size_error_on_singular_step_matrix():
@@ -193,10 +184,11 @@ def test_penalty_channel_mismatch_rejected():
 
 
 def test_uncontrolled_value_nondecreasing_in_horizon():
+    # the solve at horizon m ends on the m-th iterate of any longer solve
     model = _fitted()
-    sol = solve_fvp(model, None, HjbConfig(dt=0.02, horizon_steps=150,
-                                           record_trajectory=True))
-    V = sol.trajectory @ model.K  # value at the data points after each step
+    V = [np.zeros(model.n_points)]  # value at the data points per horizon
+    for m in range(1, 151):
+        V.append(solve_fvp(model, None, HjbConfig(dt=0.02, horizon_steps=m)).v0 @ model.K)
     assert np.min(np.diff(V, axis=0)) >= -1e-10
 
 
@@ -305,8 +297,7 @@ def test_value_policy_csv_roundtrip(tmp_path):
 def test_solution_archive_roundtrip(tmp_path):
     model = _fitted()
     pen = symmetric_box_penalty([0.5], 5.0)
-    sol = solve_fvp(model, pen, HjbConfig(dt=0.02, horizon_steps=30,
-                                          record_trajectory=True))
+    sol = solve_fvp(model, pen, HjbConfig(dt=0.02, horizon_steps=30))
     p1, p2 = tmp_path / "s1.npz", tmp_path / "s2.npz"
     save_solution(p1, sol, config_hash="f00d")
     back, meta = load_solution(p1, model)
@@ -315,17 +306,16 @@ def test_solution_archive_roundtrip(tmp_path):
     assert back.config.horizon_steps == sol.config.horizon_steps
     np.testing.assert_array_equal(back.v0, sol.v0)
     np.testing.assert_array_equal(back.bv0, sol.bv0)
-    np.testing.assert_array_equal(back.trajectory, sol.trajectory)
     save_solution(p2, back, config_hash="f00d")
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["v0", "bv0", "trajectory"])
+@pytest.mark.parametrize("name", ["v0", "bv0"])
 def test_load_solution_names_a_missing_or_misshapen_array(tmp_path, name):
     from genhjb.npzio import load_arrays, save_arrays
     model = _fitted()
     sol = solve_fvp(model, symmetric_box_penalty([0.5], 5.0),
-                    HjbConfig(dt=0.02, horizon_steps=5, record_trajectory=True))
+                    HjbConfig(dt=0.02, horizon_steps=5))
     save_solution(tmp_path / "s.npz", sol)
     arrays, meta = load_arrays(tmp_path / "s.npz")
     bad = dict(arrays)
@@ -333,11 +323,10 @@ def test_load_solution_names_a_missing_or_misshapen_array(tmp_path, name):
     save_arrays(tmp_path / "short.npz", bad, meta=meta)
     with pytest.raises(ValueError, match=f"array '{name}' has shape"):
         load_solution(tmp_path / "short.npz", model)
-    if name != "trajectory":  # the trajectory is optional
-        del bad[name]
-        save_arrays(tmp_path / "missing.npz", bad, meta=meta)
-        with pytest.raises(ValueError, match=f"no array '{name}'"):
-            load_solution(tmp_path / "missing.npz", model)
+    del bad[name]
+    save_arrays(tmp_path / "missing.npz", bad, meta=meta)
+    with pytest.raises(ValueError, match=f"no array '{name}'"):
+        load_solution(tmp_path / "missing.npz", model)
 
 
 def test_load_solution_rejects_other_archives(tmp_path):

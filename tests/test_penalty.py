@@ -1,9 +1,9 @@
-"""Box-constrained quadratic control penalty: minimizer, dual, conjugate."""
+"""Box-constrained quadratic control penalty: minimizer and dual."""
 import numpy as np
 import pytest
 
-from genhjb.penalty import (ControlPenalty, conjugate, dual_value,
-                            penalty_value, symmetric_box_penalty, u_star)
+from genhjb.penalty import (ControlPenalty, dual_value, penalty_value,
+                            symmetric_box_penalty, u_star)
 
 HALF = symmetric_box_penalty([0.5], 1.0)  # r(u) = u^2/2 on [-1, 1]
 
@@ -29,12 +29,6 @@ def test_dual_value_hand_examples():
     assert dual_value(HALF, [0.0]) == 0.0
     assert dual_value(HALF, [0.5]) == pytest.approx(-0.125, rel=1e-15)
     assert dual_value(HALF, [3.0]) == pytest.approx(-2.5, rel=1e-15)
-
-
-def test_conjugate_hand_examples():
-    assert conjugate(HALF, [0.0]) == 0.0
-    assert conjugate(HALF, [0.5]) == pytest.approx(0.125, rel=1e-15)
-    assert conjugate(HALF, [3.0]) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_penalty_value():
@@ -73,11 +67,12 @@ def test_grid_search_oracle():
 
 
 def test_conjugate_gradient_identity():
-    # grad r*(lam) central difference equals -u_star(lam) at interior points
+    # Danskin: dual_value(lam) = -r*(-lam) has gradient u_star(lam); checked
+    # by a central difference at interior points
     h = 1e-6
     for lam in (0.3, -0.6, 0.85):
-        g = (conjugate(HALF, [lam + h]) - conjugate(HALF, [lam - h])) / (2 * h)
-        assert g == pytest.approx(-u_star(HALF, [lam])[0], abs=1e-6)
+        g = (dual_value(HALF, [lam + h]) - dual_value(HALF, [lam - h])) / (2 * h)
+        assert g == pytest.approx(u_star(HALF, [lam])[0], abs=1e-6)
 
 
 def test_dual_concavity_on_segments():
@@ -88,14 +83,6 @@ def test_dual_concavity_on_segments():
         l2 = rng.normal(scale=4.0, size=2)
         mid = dual_value(p, 0.5 * (l1 + l2))
         assert mid >= 0.5 * (dual_value(p, l1) + dual_value(p, l2)) - 1e-12
-
-
-def test_conjugate_convexity_and_sign_relation():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        lam = rng.normal(scale=4.0, size=1)
-        assert conjugate(HALF, lam) == pytest.approx(-dual_value(HALF, -lam),
-                                                     rel=1e-15)
 
 
 def test_batched_shapes():
