@@ -63,6 +63,17 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
+def _float(value, name: str) -> float:
+    """``value`` as a float; a boolean (YAML ``true``) is rejected instead of
+    read as 1.0 or 0.0."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _list(opts: dict, key: str, where: str) -> list:
     value = opts[key]
     if not isinstance(value, (list, tuple)):
@@ -96,7 +107,7 @@ class ExperimentConfig:
             raise ConfigError("kernel.family and kernel.sigma are required")
         try:
             self.kernel = KernelSpec(family=str(kernel["family"]),
-                                     sigma=float(kernel["sigma"]))
+                                     sigma=_float(kernel["sigma"], "kernel.sigma"))
         except ValueError as exc:
             raise ConfigError(f"bad kernel: {exc}") from None
 
@@ -133,12 +144,15 @@ class ExperimentConfig:
         for key in ("gamma", "dt", "horizon_steps"):
             if key not in raw:
                 raise ConfigError(f"{key} is required")
-        self.gamma = float(raw["gamma"])
-        self.dt = float(raw["dt"])
+        self.gamma = _float(raw["gamma"], "gamma")
+        self.dt = _float(raw["dt"], "dt")
         self.horizon_steps = exact_int(raw["horizon_steps"], "horizon_steps")
         # only the label keys the YAML sets; the defaults live in dynamics
-        self.labels = {k: conv(raw[k]) for k, conv in
-                       (("label_mode", str), ("fd_step", float)) if k in raw}
+        self.labels = {}
+        if "label_mode" in raw:
+            self.labels["label_mode"] = str(raw["label_mode"])
+        if "fd_step" in raw:
+            self.labels["fd_step"] = _float(raw["fd_step"], "fd_step")
         self.seed = exact_int(raw.get("seed", 0), "seed")
         self.out_dir = str(raw.get("out_dir", "."))
 
@@ -283,17 +297,20 @@ def _scoring_box(opts: dict, mode: str, n_x: int):
         if len(bound) != n_x:
             raise ConfigError(f"{where}.{key} must have {n_x} entries, got {len(bound)}")
         box.append(np.asarray(bound, dtype=float))
+    if np.any(box[0] > box[1]):
+        raise ConfigError(f"{where}.region_lo must not exceed {where}.region_hi, got "
+                          f"{box[0].tolist()} and {box[1].tolist()}")
     n_points = exact_int(opts.get("n_points", evaluation.SCORE_POINTS), f"{where}.n_points")
     return box[0], box[1], n_points
 
 
-def _rollout_opts(opts: dict):
+def _rollout_opts(opts: dict, mode: str):
     """sim_dt, noise and smooth of a rollout or cost-bench block.
 
     sim_dt and noise default to CostBenchSpec's own field defaults.
     """
     spec = evaluation.CostBenchSpec
-    return (float(opts.get("sim_dt", spec.sim_dt)),
+    return (_float(opts.get("sim_dt", spec.sim_dt), f"eval.{mode}.sim_dt"),
             bool(opts.get("noise", spec.noise)), bool(opts.get("smooth", True)))
 
 
@@ -335,7 +352,6 @@ def cmd_eval(args) -> int:
         return 0
 
     if mode == "rollout":
-        sol = _load_solution_pair(cfg, args)
         if "x0" not in opts:
             raise ConfigError("eval.rollout.x0 is required")
         x0 = np.atleast_1d(np.asarray(opts["x0"], dtype=float))
@@ -343,10 +359,12 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"eval.rollout.x0 must have {bench.sim_system.n_x} entries"
             )
-        sim_dt, noise, smooth = _rollout_opts(opts)
-        duration = float(opts.get("duration", 5.0))
+        sim_dt, noise, smooth = _rollout_opts(opts, mode)
+        duration = _float(opts.get("duration", 5.0), "eval.rollout.duration")
         steps, interval = evaluation.rollout_steps(
-            duration, float(opts.get("control_hz", 50.0)), sim_dt)
+            duration, _float(opts.get("control_hz", 50.0), "eval.rollout.control_hz"),
+            sim_dt)
+        sol = _load_solution_pair(cfg, args)
         policy = _sim_policy(sol, bench, smooth=smooth)
         states, inputs = simulate_closed_loop(
             bench.sim_system, policy, x0, sim_dt, steps, seed=cfg.seed,
@@ -366,12 +384,13 @@ def cmd_eval(args) -> int:
         for key in ("init_lo", "init_hi", "duration", "control_hz", "n_rollouts"):
             if key not in opts:
                 raise ConfigError(f"eval.cost-bench.{key} is required")
-        sim_dt, noise, smooth = _rollout_opts(opts)
+        sim_dt, noise, smooth = _rollout_opts(opts, mode)
         spec = evaluation.CostBenchSpec(
             system=bench.sim_system, stage_cost=_sim_stage_cost(bench),
             pen=bench.pen, init_lo=tuple(_list(opts, "init_lo", "eval.cost-bench")),
             init_hi=tuple(_list(opts, "init_hi", "eval.cost-bench")),
-            duration=float(opts["duration"]), control_hz=float(opts["control_hz"]),
+            duration=_float(opts["duration"], "eval.cost-bench.duration"),
+            control_hz=_float(opts["control_hz"], "eval.cost-bench.control_hz"),
             n_rollouts=exact_int(opts["n_rollouts"], "eval.cost-bench.n_rollouts"),
             sim_dt=sim_dt, seed=cfg.seed, noise=noise,
         )

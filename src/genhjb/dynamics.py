@@ -30,8 +30,11 @@ BLOWUP_NORM = 1e6
 class ControlAffineSystem:
     """Dynamics dx/dt = f(x) + G(x) u plus isotropic noise of strength epsilon.
 
-    ``drift`` maps a state to f(x); ``input_map`` maps a state to the
-    (n_x, n_u) matrix G(x).  ``epsilon`` is the diffusion coefficient in
+    ``drift`` maps one state, an array of shape (n_x,), to f(x);
+    ``input_map`` maps it to the (n_x, n_u) matrix G(x).  The benchmark
+    plants compute on the state's entries as Python floats, since rollouts
+    call them once per step (see ``systems``); plants that take a batch of
+    states are ROADMAP item 4.  ``epsilon`` is the diffusion coefficient in
     front of sqrt(2) dW, not a variance.
     """
 
@@ -161,11 +164,23 @@ class StateGridSpec:
         return np.concatenate(parts, axis=-1)
 
     def embed_point(self, q) -> np.ndarray:
-        """``embed`` for one point: (n_intrinsic,) -> (n_x,)."""
+        """``embed`` for one point: (n_intrinsic,) -> (n_x,).
+
+        Rollouts call this once per step, so it works on Python floats with
+        ``math.cos`` / ``math.sin``, bitwise equal to ``embed``; an infinite
+        angle raises ValueError where ``embed`` gives NaN.
+        """
         q = np.asarray(q, dtype=float)
-        if q.ndim > 1:
+        if q.shape != (self.n_intrinsic,):
             raise ValueError(f"expected ({self.n_intrinsic},) coordinates, got {q.shape}")
-        return self.embed(q.reshape(-1))
+        q = q.tolist()
+        out, start = [], 0
+        for d in self.angle_dims:
+            out += q[start:d]
+            out += (math.cos(q[d]), math.sin(q[d]))
+            start = d + 1
+        out += q[start:]
+        return np.array(out)
 
     def states(self) -> np.ndarray:
         return self.embed(self.grid_points())
@@ -307,9 +322,12 @@ def simulate_closed_loop(
     system's box before use and recorded post-clipping.  Returns
     (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).  A state
     that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
-    DivergenceError with the step that produced it.
+    DivergenceError with the step that produced it; a start ``x0`` that is
+    not finite is a ValueError.
     """
     x = _state(system, x0)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite, got {x}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     steps = exact_int(steps, "steps")

@@ -4,9 +4,18 @@ Angle-bearing systems are expressed in embedded coordinates where the angle
 theta appears as the pair (cos theta, sin theta).  For both mechanical
 benchmarks theta = 0 is the upright position, so stabilizing the origin of
 the stage cost means swinging up.
+
+The plant closures and stage costs take one state of shape (n_x,).  The
+mechanical ones unpack it to Python floats and use ``math.sin`` /
+``math.cos``: a rollout calls them once per simulator step, and on a
+handful of floats numpy's per-call overhead costs more than the arithmetic.
+The IEEE operations and their order are those of the array formulas, so the
+results are bitwise the same.  Plants that step many states at once are
+ROADMAP item 4.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,12 +74,12 @@ def pendulum_systems(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _P
         return (mglc * s - damping * w) / J
 
     def drift(x):
-        c, s, w = x
+        c, s, w = x.tolist()
         return np.array([-s * w, c * w, acceleration(s, w)])
 
     def sim_drift(x):
-        t, w = x
-        return np.array([w, acceleration(np.sin(t), w)])
+        t, w = x.tolist()
+        return np.array([w, acceleration(math.sin(t), w)])
 
     G = np.array([[0.0], [0.0], [1.0 / J]])
     sim_G = np.array([[0.0], [1.0 / J]])
@@ -82,7 +91,7 @@ def pendulum_stage_cost(q_sin: float = 30.0, q_cos: float = 30.0,
                         q_omega: float = 1.0) -> Callable:
     """q(x) = q_sin s^2 + q_cos (c - 1)^2 + q_omega omega^2; zero only upright at rest."""
     def cost(x):
-        c, s, w = x
+        c, s, w = x.tolist()
         return q_sin * s**2 + q_cos * (c - 1.0) ** 2 + q_omega * w**2
     return cost
 
@@ -142,21 +151,21 @@ def cartpole_systems(epsilon: float = 0.01, u_max: float = 7.0,
         return m22 / det, -m12 / det
 
     def drift(x):
-        p, v, c, s, w = x
+        p, v, c, s, w = x.tolist()
         acc_p, acc_w = free(c, s, v, w)
         return np.array([v, acc_p, -s * w, c * w, acc_w])
 
     def input_map(x):
-        gp, gw = per_force(x[2])
+        gp, gw = per_force(float(x[2]))
         return np.array([[0.0], [gp], [0.0], [0.0], [gw]])
 
     def sim_drift(x):
-        p, v, t, w = x
-        acc_p, acc_w = free(np.cos(t), np.sin(t), v, w)
+        p, v, t, w = x.tolist()
+        acc_p, acc_w = free(math.cos(t), math.sin(t), v, w)
         return np.array([v, acc_p, w, acc_w])
 
     def sim_input_map(x):
-        gp, gw = per_force(np.cos(x[2]))
+        gp, gw = per_force(math.cos(x[2]))
         return np.array([[0.0], [gp], [0.0], [gw]])
 
     return (_plant("cartpole", 5, drift, input_map, u_max, epsilon),
@@ -174,7 +183,7 @@ def cartpole_stage_cost(q_tip: float = 10.0, q_upright: float = 100.0,
     ql2 = q_upright * length**2
 
     def cost(x):
-        p, v, c, s, w = x
+        p, v, c, s, w = x.tolist()
         return q_tip * (p - length * s) ** 2 + ql2 * (c - 1.0) ** 2 \
             + q_cart_vel * v**2 + q_omega * w**2
     return cost

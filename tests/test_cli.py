@@ -205,6 +205,17 @@ def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, 
     assert f"{key.split('.')[-1]} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [
+    "kernel.sigma", "gamma", "dt", "fd_step", "eval.rollout.duration",
+    "eval.rollout.sim_dt", "eval.cost-bench.control_hz",
+])
+@pytest.mark.parametrize("value", [True, None, "fast"])
+def test_non_number_for_a_float_is_rejected(pipeline, tmp_path, capsys, key, value):
+    # YAML true is a boolean, not 1.0; null and words are no numbers either
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("eval.sweep.values", 3.0),
     ("eval.cost-bench.init_lo", -1.0),
@@ -237,6 +248,23 @@ def test_scoring_box_of_the_wrong_length_is_rejected(pipeline, tmp_path, capsys,
             str(pipeline["out"] / "solution.npz")]
     assert cli.main(argv) == 2
     assert f"eval.{mode}.{key} must have 1 entries, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["rmse", "sweep"])
+def test_empty_scoring_box_is_rejected_before_any_pipeline(pipeline, tmp_path, capsys,
+                                                          monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr(cli.evaluation, "run_pipeline",
+                        lambda spec: calls.append(spec))
+    monkeypatch.setattr(cli, "load_model", lambda path: calls.append(path))
+    doc = _config(tmp_path / "o")
+    doc["eval"][mode].update(region_lo=[1.0], region_hi=[-1.0])
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["eval", "--mode", mode, "--config", cfg]) == 2
+    assert f"eval.{mode}.region_lo must not exceed eval.{mode}.region_hi" \
+        in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "o").exists()
 
 
@@ -341,9 +369,13 @@ def test_out_override_redirects_artifacts(pipeline, tmp_path):
     assert (dest / "dataset.csv").is_file()
 
 
-def test_rollout_rejects_wrong_x0_dimension(pipeline, tmp_path, capsys):
+def test_rollout_rejects_wrong_x0_dimension(pipeline, tmp_path, capsys, monkeypatch):
+    # checked before the model archive is loaded
+    loads = []
+    monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
     doc = _config(pipeline["out"])
     doc["eval"]["rollout"]["x0"] = [1.0, 2.0]
     cfg = _write(tmp_path / "c.yaml", doc)
     assert cli.main(["eval", "--mode", "rollout", "--config", cfg]) == 2
-    assert "x0" in capsys.readouterr().err
+    assert "eval.rollout.x0 must have 1 entries" in capsys.readouterr().err
+    assert loads == []

@@ -392,6 +392,13 @@ def test_simulation_rejects_fractional_counts():
     np.testing.assert_array_equal(run(steps=10.0)[0], run(steps=10)[0])
 
 
+def test_simulation_rejects_a_nonfinite_start():
+    _, sim = pendulum_systems()
+    for x0 in ([np.inf, 0.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate_closed_loop(sim, lambda x: np.zeros(1), x0, dt=1e-3, steps=10)
+
+
 def test_rk4_flow_preserves_circle_constraint():
     # the noiseless deterministic integrator holds cos^2 + sin^2 = 1 to well
     # below 1e-6 per unit time at millisecond substeps
@@ -440,6 +447,93 @@ def test_embed_point_matches_batch_embed(angle_dims, q):
     grid = StateGridSpec(bounds=((-1.0, 1.0),) * 3, counts=(2, 2, 2),
                          angle_dims=angle_dims)
     assert np.array_equal(grid.embed_point(q), grid.embed(q[None])[0])
+
+
+def _pendulum_euler(x, u, dt):
+    """One Euler step of the physical pendulum at the default constants,
+    J w' = u - b w + m g lc sin t, written with numpy arrays."""
+    lc = 0.5 * 1.0
+    J = 0.0842 + 1.0 * lc**2
+    t, w = x
+    f = np.array([w, (1.0 * 9.81 * lc * np.sin(t) - 0.1 * w) / J])
+    G = np.array([[0.0], [1.0 / J]])
+    return x + dt * (f + G @ u)
+
+
+def _cartpole_euler(x, u, dt):
+    """One Euler step of the physical cartpole at the default constants: the
+    mass-matrix system of cartpole_systems's docstring by Cramer's rule."""
+    lc = 0.5 * 1.0
+    m11, m22 = 0.5 + 0.5, 0.0513 + 0.5 * lc**2
+    p, v, t, w = x
+    c, s = np.cos(t), np.sin(t)
+    m12 = 0.5 * lc * c
+    det = m11 * m22 - m12 * m12
+    r1 = 0.5 * lc * s * w * w - 0.05 * v
+    r2 = 0.5 * 9.81 * lc * s - 0.05 * w
+    f = np.array([v, (m22 * r1 - m12 * r2) / det, w, (m11 * r2 - m12 * r1) / det])
+    G = np.array([[0.0], [m22 / det], [0.0], [-m12 / det]])
+    return x + dt * (f + G @ u)
+
+
+def _embed(x, angle_dim):
+    t = x[angle_dim]
+    return np.concatenate([x[:angle_dim], [np.cos(t), np.sin(t)], x[angle_dim + 1:]])
+
+
+def _pendulum_cost(e):
+    c, s, w = e
+    return 30.0 * s**2 + 30.0 * (c - 1.0) ** 2 + 1.0 * w**2
+
+
+def _cartpole_cost(e):
+    p, v, c, s, w = e
+    return 10.0 * (p - 1.0 * s) ** 2 + 100.0 * 1.0**2 * (c - 1.0) ** 2 \
+        + 1.0 * v**2 + 1.0 * w**2
+
+
+@pytest.mark.parametrize("name, step, cost, angle_dim, interval, steps, x0", [
+    pytest.param("pendulum", _pendulum_euler, _pendulum_cost, 0, 20, 5000, [3.0, 0.0],
+                 id="pendulum-hanging"),
+    pytest.param("pendulum", _pendulum_euler, _pendulum_cost, 0, 20, 5000, [-2.5, 6.0],
+                 id="pendulum-spinning"),
+    pytest.param("cartpole", _cartpole_euler, _cartpole_cost, 2, 5, 2000,
+                 [1.5, -2.0, 2.8, 4.0], id="cartpole-hanging"),
+    pytest.param("cartpole", _cartpole_euler, _cartpole_cost, 2, 5, 2000,
+                 [-1.0, 0.5, -0.4, -3.0], id="cartpole-tilted"),
+])
+def test_physical_rollouts_are_bitwise_numpy_euler(name, step, cost, angle_dim, interval,
+                                                   steps, x0):
+    # Plants, stage costs and embed_point compute on floats; they must stay
+    # bitwise equal to the array formulas with np.sin / np.cos.  The feedback
+    # acts on the embedded state, as the learned policy does, and saturates.
+    bench = make_benchmark(name)
+    grid, pen, dt = bench.grid, bench.pen, 1e-3
+    gain = np.linspace(2.0, 8.0, grid.n_x)
+
+    def feedback(e):
+        return np.array([-float(gain @ e) + 2.0])
+
+    states, inputs = simulate_closed_loop(
+        bench.sim_system, lambda q: feedback(grid.embed_point(q)), x0, dt, steps,
+        noise=False, control_interval=interval)
+    total = accumulated_cost(states, inputs,
+                             lambda q: bench.stage_cost(grid.embed_point(q)), pen, dt)
+
+    x, u, want_total = np.array(x0), None, 0.0
+    want_states, want_inputs = [x], []
+    for k in range(steps):
+        if k % interval == 0:
+            u = np.clip(feedback(_embed(x, angle_dim)), pen.u_min, pen.u_max)
+        want_inputs.append(u)
+        want_total += float(cost(_embed(x, angle_dim)))
+        want_total += float(np.sum(pen.weights * u**2))
+        x = step(x, u, dt)
+        want_states.append(x)
+    assert np.abs(inputs).max() == pen.u_max[0]      # the box is reached
+    assert np.array_equal(states, np.array(want_states))
+    assert np.array_equal(inputs, np.array(want_inputs))
+    assert total == want_total * dt
 
 
 @settings(max_examples=100, deadline=None)
