@@ -14,12 +14,14 @@ from typing import Callable
 import numpy as np
 import scipy.stats
 
-from .errors import ConfigError, DivergenceError, NumericalDomainError, exact_int
+from .errors import (ConfigError, DivergenceError, NumericalDomainError, count,
+                     exact_int, positive)
 from .npzio import write_csv
 from .penalty import penalty_value
 
-# how drift labels are made when the caller does not say: the drift itself,
-# or central differences of noiseless flows over +-FD_STEP
+# how drift labels are made: the drift itself, or central differences of
+# noiseless flows over +-fd_step; the defaults when the caller does not say
+LABEL_MODES = ("analytic", "finite-difference")
 LABEL_MODE = "analytic"
 FD_STEP = 1e-4
 # a rollout state whose Euclidean norm exceeds this has diverged
@@ -113,14 +115,12 @@ class StateGridSpec:
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        counts = tuple(exact_int(c, "grid counts") for c in self.counts)
+        counts = tuple(count(c, "grid counts") for c in self.counts)
         if len(bounds) != len(counts):
             raise ValueError("bounds and counts must have equal length")
         for lo, hi in bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bad bound ({lo}, {hi})")
-        if any(c < 1 for c in counts):
-            raise ValueError("grid counts must be >= 1")
         angle_dims = tuple(sorted(exact_int(d, "angle_dims") for d in self.angle_dims))
         if any(d < 0 or d >= len(bounds) for d in angle_dims):
             raise ValueError("angle_dims out of range")
@@ -274,8 +274,9 @@ def dataset_from_states(
     Useful for non-tensor designs such as low-discrepancy samples, where a
     full grid at the same resolution would be too large.
     """
-    if label_mode not in ("analytic", "finite-difference"):
+    if label_mode not in LABEL_MODES:
         raise ConfigError(f"unknown label_mode {label_mode!r}")
+    positive(fd_step, "fd_step")
     X = np.ascontiguousarray(np.asarray(states, dtype=float))
     if X.ndim != 2 or X.shape[1] != system.n_x:
         raise ValueError(f"states must have shape (N, {system.n_x})")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check.
+"""Exception types shared across the package, and the shared value checks.
 
 Callers that drive full pipelines (CLI, sweeps) catch these to distinguish
 bad inputs from numerical breakdown from I/O trouble.
@@ -10,6 +10,28 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown keys, malformed values, bad shapes."""
 
 
+def number(value, name: str) -> float:
+    """``value`` as a finite float; a boolean (YAML ``true``) is rejected
+    instead of read as 1.0 or 0.0."""
+    try:
+        out = None if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not np.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def positive(value, name: str) -> float:
+    """``value`` as a finite float above zero."""
+    out = number(value, name)
+    if out <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return out
+
+
 def exact_int(value, name: str) -> int:
     """``value`` as an int; a fraction is rejected instead of truncated, and
     a boolean (YAML ``true``) instead of read as 1 or 0."""
@@ -19,6 +41,14 @@ def exact_int(value, name: str) -> int:
         out = None
     if out is None or out != value or isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least`` (see ``exact_int``)."""
+    out = exact_int(value, name)
+    if out < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import (FD_STEP, LABEL_MODE, ControlAffineSystem, StateGridSpec,
                        accumulated_cost, generate_dataset, simulate_closed_loop)
-from .errors import ConfigError, DivergenceError, NumericalError, exact_int
+from .errors import ConfigError, DivergenceError, NumericalError, count, positive
 from .generator import fit
 from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
 from .kernels import KernelSpec
@@ -53,15 +53,25 @@ def run_pipeline(spec: PipelineSpec) -> HjbSolution:
     return solve_fvp(model, spec.pen, config)
 
 
+def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
+    """``lo`` and ``hi`` as float vectors of ``n`` entries each (as many as
+    ``lo`` when ``n`` is None) with lo <= hi; errors use the names given."""
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
+    n = lo.size if n is None else n
+    for bound, name in ((lo, lo_name), (hi, hi_name)):
+        if bound.shape != (n,):
+            raise ConfigError(f"{name} must have {n} entries, got {bound.size}")
+    if np.any(lo > hi):
+        raise ConfigError(f"{lo_name} must not exceed {hi_name}, got {lo.tolist()} and "
+                          f"{hi.tolist()}")
+    return lo, hi
+
+
 def rmse_to_reference(policy: Callable, reference: Callable, lo, hi,
                       n_points: int = SCORE_POINTS, seed: int = 0) -> float:
     """Root mean square feedback error over a uniform sample of a box."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or np.any(lo > hi):
-        raise ValueError("bad sampling box")
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    lo, hi = check_box(lo, hi, None)
+    count(n_points, "n_points")
     rng = np.random.default_rng(seed)
     X = rng.uniform(lo, hi, size=(n_points, lo.size))
     err2 = 0.0
@@ -92,15 +102,25 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ConfigError(
-                f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
-            )
-        if len(self.values) == 0:
-            raise ConfigError("sweep needs at least one value")
-        if self.variable == "dataset_size":
-            object.__setattr__(self, "values", tuple(
-                exact_int(v, "dataset_size values") for v in self.values))
+        values = sweep_values(self.variable, self.values, "values")
+        lo, hi = check_box(self.region_lo, self.region_hi, self.base.system.n_x,
+                           "region_lo", "region_hi")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "region_lo", lo)
+        object.__setattr__(self, "region_hi", hi)
+        object.__setattr__(self, "n_points", count(self.n_points, "n_points"))
+
+
+def sweep_values(variable: str, values, name: str) -> tuple:
+    """The values of a sweep over ``variable``, checked before any run:
+    lengthscales are positive floats, dataset sizes integers >= 1."""
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(
+            f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
+    if len(values) == 0:
+        raise ConfigError("sweep needs at least one value")
+    check = positive if variable == "lengthscale" else count
+    return tuple(check(v, f"each entry of {name}") for v in values)
 
 
 def _pipeline_for_value(spec: SweepSpec, value) -> PipelineSpec:
@@ -178,19 +198,11 @@ class CostBenchSpec:
     noise: bool = False
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.init_lo)
-        hi = tuple(float(v) for v in self.init_hi)
-        if len(lo) != self.system.n_x or len(hi) != self.system.n_x:
-            raise ValueError("initial box must match the simulated state dimension")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise ValueError("empty initial box")
+        lo, hi = check_box(self.init_lo, self.init_hi, self.system.n_x, "init_lo", "init_hi")
         rollout_steps(self.duration, self.control_hz, self.sim_dt)
-        n_rollouts = exact_int(self.n_rollouts, "n_rollouts")
-        if n_rollouts < 1:
-            raise ValueError("n_rollouts must be >= 1")
-        object.__setattr__(self, "n_rollouts", n_rollouts)
-        object.__setattr__(self, "init_lo", lo)
-        object.__setattr__(self, "init_hi", hi)
+        object.__setattr__(self, "n_rollouts", count(self.n_rollouts, "n_rollouts"))
+        object.__setattr__(self, "init_lo", tuple(lo.tolist()))
+        object.__setattr__(self, "init_hi", tuple(hi.tolist()))
 
 
 def run_cost_bench(spec: CostBenchSpec, policy: Callable) -> dict:

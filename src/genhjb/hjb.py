@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels, penalty as penalty_mod
-from .errors import DivergenceError, StepSizeError, exact_int
+from .errors import DivergenceError, StepSizeError, count, positive
 from .generator import GeneratorModel
 from .npzio import load_arrays, require_array, require_meta, save_arrays, write_csv
 from .penalty import ControlPenalty
@@ -57,12 +57,8 @@ class HjbConfig:
     horizon_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        steps = exact_int(self.horizon_steps, "horizon_steps")
-        if steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
-        object.__setattr__(self, "horizon_steps", steps)
+        positive(self.dt, "dt")
+        object.__setattr__(self, "horizon_steps", count(self.horizon_steps, "horizon_steps"))
 
 
 @dataclass

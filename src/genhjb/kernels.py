@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, positive
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 SMOOTHED_LAPLACE = "smoothed-laplace"
-_FAMILIES = (SQUARED_EXPONENTIAL, SMOOTHED_LAPLACE)
+FAMILIES = (SQUARED_EXPONENTIAL, SMOOTHED_LAPLACE)
 # the smoothed Laplace surrogate: its radius and sigma over its lengthscale
 SMOOTHING_RADIUS = 1e-8
 SMOOTHING_RATIO = 100.0
@@ -51,12 +51,11 @@ class KernelSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
+                f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        positive(self.sigma, "sigma")
 
 
 def _distances(k: KernelSpec, X, Y) -> np.ndarray:

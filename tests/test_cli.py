@@ -114,8 +114,8 @@ def test_eval_sweep(pipeline, capsys):
 def test_reference_uses_penalty_block_weights(tmp_path):
     # scalar Riccati 2P - P^2 / R + q = 0 with a = b = 1, q = 1.5, R = 2:
     # P = 2 + sqrt(7), u(1) = -P / R
-    doc = _config(tmp_path, penalty={"weights": [2.0], "u_max": 5.0})
-    reference = cli.ExperimentConfig(doc).benchmark().reference_policy()
+    doc = _config(tmp_path, cost={"params": {"q_weight": 1.5, "r_weight": 2.0}})
+    reference = cli.ExperimentConfig(doc).bench.reference_policy()
     assert reference([1.0]) == pytest.approx([-(2.0 + 7.0**0.5) / 2.0], rel=1e-12)
 
 
@@ -168,6 +168,14 @@ def test_unknown_eval_option_is_rejected(tmp_path, capsys):
     assert "eval.rmse" in capsys.readouterr().err
 
 
+def _set(doc, dotted, value):
+    *parents, leaf = dotted.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+
+
 def _exit_code_with(pipeline, tmp_path, key, value, also=None):
     """Run the stage that reads the dotted ``key`` with it set to ``value``;
     ``also`` maps further dotted keys to values."""
@@ -175,11 +183,7 @@ def _exit_code_with(pipeline, tmp_path, key, value, also=None):
     in_eval = path[0] == "eval"
     doc = _config(pipeline["out"] if in_eval else tmp_path / "o")
     for dotted, v in {**(also or {}), key: value}.items():
-        *parents, leaf = dotted.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[leaf] = v
+        _set(doc, dotted, v)
     cfg = _write(tmp_path / "c.yaml", doc)
     argv = ["eval", "--mode", path[1]] if in_eval else ["gen-data"]
     return cli.main(argv + ["--config", cfg])
@@ -207,13 +211,118 @@ def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, 
 
 @pytest.mark.parametrize("key", [
     "kernel.sigma", "gamma", "dt", "fd_step", "eval.rollout.duration",
-    "eval.rollout.sim_dt", "eval.cost-bench.control_hz",
+    "eval.rollout.sim_dt", "eval.cost-bench.control_hz", "system.epsilon",
+    "system.u_max", "system.params.a", "cost.params.q_weight",
 ])
 @pytest.mark.parametrize("value", [True, None, "fast"])
 def test_non_number_for_a_float_is_rejected(pipeline, tmp_path, capsys, key, value):
     # YAML true is a boolean, not 1.0; null and words are no numbers either
     assert _exit_code_with(pipeline, tmp_path, key, value) == 2
     assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+def _no_work(monkeypatch):
+    """Calls of load_model and run_pipeline, which a config error must precede."""
+    calls = []
+    monkeypatch.setattr(cli.evaluation, "run_pipeline", lambda spec: calls.append(spec))
+    monkeypatch.setattr(cli, "load_model", lambda path: calls.append(path))
+    return calls
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid.bounds", [[-2.0, True]]),
+    ("eval.rollout.x0", [True]),
+    ("eval.cost-bench.init_lo", [True]),
+    ("eval.rmse.region_lo", [True]),
+    ("eval.sweep.values", [True, 2.0]),
+])
+def test_boolean_list_entry_is_rejected(pipeline, tmp_path, capsys, monkeypatch, key,
+                                        value):
+    calls = _no_work(monkeypatch)
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert f"{key} must be a number, got True" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval.rollout.noise", "false"),
+    ("eval.rollout.smooth", "no"),
+    ("eval.cost-bench.noise", "off"),
+    ("eval.cost-bench.baseline", "false"),
+])
+def test_word_for_a_flag_is_rejected(pipeline, tmp_path, capsys, key, value):
+    # only YAML true and false are flags; the string "false" is truthy
+    assert _exit_code_with(pipeline, tmp_path, key, value) == 2
+    assert f"{key} must be true or false, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, bound", [
+    ("dt", 0, "positive"),
+    ("gamma", 0, "positive"),
+    ("horizon_steps", 0, ">= 1"),
+    ("fd_step", 0, "positive"),
+    ("kernel.sigma", -1.0, "positive"),
+    ("seed", -1, ">= 0"),
+])
+@pytest.mark.parametrize("command", ["gen-data", "solve"])
+def test_out_of_range_setting_is_rejected_at_load(tmp_path, capsys, monkeypatch, key,
+                                                  value, bound, command):
+    calls = _no_work(monkeypatch)
+    doc = _config(tmp_path / "o")
+    _set(doc, key, value)
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"{key} must be {bound}, got {value!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("values", [1.0, "x"], "eval.sweep.values must be a number, got 'x'"),
+    ("values", [1.0, -2.0], "eval.sweep.values must be positive, got -2.0"),
+    ("n_points", 0, "eval.sweep.n_points must be >= 1, got 0"),
+    ("variable", "bandwidth", "eval.sweep.variable must be one of"),
+])
+def test_bad_sweep_is_rejected_before_any_pipeline(tmp_path, capsys, monkeypatch, key,
+                                                   value, message):
+    calls = _no_work(monkeypatch)
+    doc = _config(tmp_path / "o")
+    doc["eval"]["sweep"][key] = value
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["eval", "--mode", "sweep", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("penalty", {"weights": [2.0], "u_max": 5.0}, "unknown keys in config: ['penalty']"),
+    ("grid.angle_dims", [], "unknown keys in grid: ['angle_dims']"),
+])
+def test_removed_key_is_unknown(tmp_path, capsys, key, value, message):
+    # the penalty is cost.params.r_weight on the box |u| <= system.u_max, and
+    # the grid's angle dims are the system's
+    doc = _config(tmp_path / "o")
+    _set(doc, key, value)
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["gen-data", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_absent_eval_block_is_needed_only_when_its_mode_runs(tmp_path, capsys):
+    doc = _config(tmp_path / "o")
+    del doc["eval"]
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["gen-data", "--config", cfg]) == 0
+    assert cli.main(["eval", "--mode", "rollout", "--config", cfg]) == 2
+    assert "eval.rollout.x0 is required" in capsys.readouterr().err
+
+
+def test_grid_override_takes_the_systems_angle_dims(tmp_path):
+    doc = _config(tmp_path, system={"name": "pendulum"}, cost={"params": {}},
+                  grid={"bounds": [[-3.0, 3.0], [-8.0, 8.0]], "counts": [5, 4]})
+    grid = cli.ExperimentConfig(doc).bench.grid
+    assert grid.angle_dims == (0,)
+    assert (grid.n_x, grid.n_points) == (3, 20)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -279,9 +388,13 @@ def test_smoothing_key_in_kernel_is_rejected(tmp_path, capsys):
 def test_readme_config_is_accepted():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```yaml\n(# experiment\.yaml\n.*?)```", readme, re.S)
-    cfg = cli.ExperimentConfig(yaml.safe_load(block.group(1)))
-    cfg.benchmark()
-    cfg.hjb_config()
+    cli.ExperimentConfig(yaml.safe_load(block.group(1)))
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `([\w.-]+)` \|", readme, re.M)
+    assert listed == list(cli.SCHEMA)
 
 
 def test_malformed_yaml_is_rejected(tmp_path):
@@ -360,6 +473,14 @@ def test_io_failure_exit_code(tmp_path, capsys):
 
 def test_missing_config_file_is_io_failure(tmp_path):
     assert cli.main(["gen-data", "--config", str(tmp_path / "nope.yaml")]) == 4
+
+
+def test_negative_seed_override_is_rejected(pipeline, capsys, monkeypatch):
+    calls = _no_work(monkeypatch)
+    assert cli.main(["eval", "--mode", "rmse", "--config", pipeline["cfg"],
+                     "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_out_override_redirects_artifacts(pipeline, tmp_path):

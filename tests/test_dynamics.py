@@ -286,6 +286,14 @@ def test_fd_labels_close_to_analytic():
     np.testing.assert_allclose(fd.drift_labels, an.drift_labels, atol=1e-9)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
+def test_fd_step_must_be_positive_and_finite(h):
+    # a zero step would divide 0 by 0 into NaN labels
+    with pytest.raises(ValueError, match="fd_step must be"):
+        dataset_from_states(linear_2d_system(), np.zeros((1, 2)), lambda x: 0.0,
+                            label_mode="finite-difference", fd_step=h)
+
+
 def test_simulation_hand_example_and_determinism():
     sys_ = linear_1d_system(epsilon=0.0)
     states, inputs = simulate_closed_loop(sys_, lambda x: np.zeros(1),

@@ -115,6 +115,25 @@ def test_sweep_spec_validation():
         run_sweep(SweepSpec(variable="lengthscale", **kw), jobs=0)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"values": (1.0, "x")}, "must be a number"),
+    ({"values": (True, 2.0)}, "must be a number"),
+    ({"values": (-1.0,)}, "must be positive"),
+    ({"values": (float("inf"),)}, "must be finite"),
+    ({"variable": "dataset_size", "values": (25, 2.5)}, "must be an integer"),
+    ({"variable": "dataset_size", "values": (0,)}, "must be >= 1"),
+    ({"n_points": 0}, "n_points must be >= 1"),
+    ({"region_hi": np.array([1.0, 1.0])}, "region_hi must have 1 entries, got 2"),
+    ({"region_lo": np.array([2.0])}, "region_lo must not exceed region_hi"),
+])
+def test_sweep_spec_rejects_what_a_run_would_trip_over(change, message):
+    kw = dict(base=_spec(), variable="lengthscale", values=(1.0,),
+              reference=lambda x: x, region_lo=np.array([-1.0]),
+              region_hi=np.array([1.0]))
+    with pytest.raises(ConfigError, match=message):
+        SweepSpec(**{**kw, **change})
+
+
 def test_single_value_sweep_equals_direct_pipeline():
     reference = lambda x: np.clip(-3.0 * x, -5.0, 5.0)
     base = _spec(horizon_steps=200)
