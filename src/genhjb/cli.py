@@ -23,7 +23,7 @@ import yaml
 from . import dynamics, evaluation, hjb, kernels, systems
 from .dynamics import (accumulated_cost, generate_dataset, read_dataset, simulate_closed_loop,
                        write_dataset)
-from .errors import ConfigError, NumericalError, count, number, positive
+from .errors import ConfigError, NumericalError, count, nonnegative, number, positive
 from .generator import fit, load_model, min_eig_estimate, save_model
 from .hjb import HjbConfig, load_solution, save_solution, solve_fvp
 from .kernels import KernelSpec
@@ -74,9 +74,13 @@ def _pair(value, key: str) -> list:
     return [lo, hi]
 
 
-def _params(value, key: str) -> dict:
-    """Parameter names to numbers; the system or its cost checks the names."""
-    return {name: number(v, f"{key}.{name}") for name, v in _mapping(value, key).items()}
+def _params(**parsers):
+    """Parameter names to numbers, each read by its parser in ``parsers`` or
+    else by ``number``; the system or its cost checks the names."""
+    def parse(value, key: str) -> dict:
+        return {name: parsers.get(name, number)(v, f"{key}.{name}")
+                for name, v in _mapping(value, key).items()}
+    return parse
 
 
 _flag = _instance(bool, "true or false")
@@ -92,10 +96,10 @@ REQUIRED = object()  # the default of a key the config must set
 # system (its parameters, its grid) or, for a scoring box, [-1, 1] per state.
 SCHEMA = {
     "system.name": (_one_of(*systems.BENCHMARK_NAMES), REQUIRED),
-    "system.epsilon": (number, None),
-    "system.u_max": (number, None),
-    "system.params": (_params, None),
-    "cost.params": (_params, None),
+    "system.epsilon": (nonnegative, None),
+    "system.u_max": (nonnegative, None),
+    "system.params": (_params(), None),
+    "cost.params": (_params(r_weight=positive), None),
     "grid.bounds": (_list_of(_pair), None),
     "grid.counts": (_list_of(count), None),
     "kernel.family": (_one_of(*kernels.FAMILIES), REQUIRED),

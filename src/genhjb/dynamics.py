@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.stats
 
 from .errors import (ConfigError, DivergenceError, NumericalDomainError, count,
                      exact_int, positive)
@@ -190,12 +189,22 @@ class StateGridSpec:
 
         A stratified alternative to the full tensor grid when the latter
         would be too large; each intrinsic axis is split into n equal strata
-        with one point per stratum.
+        with one point per stratum (McKay, Beckman & Conover, Technometrics
+        1979).  The draw is bit for bit that of scipy's
+        ``scipy.stats.qmc.LatinHypercube(d=n_intrinsic, seed=seed).random(n)``
+        (scramble on, strength 1): uniform jitter, then each axis's strata
+        shuffled in turn by the same generator.  It is written out on numpy
+        because importing ``scipy.stats`` would double the package's import
+        time.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        sampler = scipy.stats.qmc.LatinHypercube(d=self.n_intrinsic, seed=seed)
-        unit = sampler.random(n)
+        n = count(n, "n")
+        d = self.n_intrinsic
+        rng = np.random.default_rng(seed)
+        jitter = rng.uniform(size=(n, d))
+        strata = np.tile(np.arange(1, n + 1), (d, 1))
+        for axis in strata:
+            rng.shuffle(axis)
+        unit = (strata.T - jitter) / n
         lo = np.array([b[0] for b in self.bounds], dtype=float)
         hi = np.array([b[1] for b in self.bounds], dtype=float)
         return self.embed(lo + unit * (hi - lo))
@@ -283,21 +292,24 @@ def dataset_from_states(
     N = X.shape[0]
     channels = [np.zeros(system.n_u)]
     channels += [np.eye(system.n_u)[j] for j in range(system.n_u)]
+    drift, input_map = system.drift, system.input_map
 
     labels = np.empty((system.n_u + 1, N, system.n_x))
     for c, u in enumerate(channels):
-        for i in range(N):
+        for i, x in enumerate(X):
             if label_mode == "analytic":
-                lab = drift_under_input(system, X[i], u)
+                # drift_under_input's arithmetic; its per-point checks are the
+                # one finiteness scan below
+                labels[c, i] = drift(x) + input_map(x) @ u
             else:
-                fwd = flow(system, X[i], u, fd_step)
-                bwd = flow(system, X[i], u, -fd_step)
-                lab = (fwd - bwd) / (2.0 * fd_step)
-            if not np.all(np.isfinite(lab)):
-                raise NumericalDomainError(
-                    f"non-finite drift label at grid point {i}", where=X[i]
-                )
-            labels[c, i] = lab
+                fwd = flow(system, x, u, fd_step)
+                bwd = flow(system, x, u, -fd_step)
+                labels[c, i] = (fwd - bwd) / (2.0 * fd_step)
+    bad = ~np.isfinite(labels).all(axis=2)
+    if bad.any():
+        # the first bad point in channel order, then point order
+        i = int(np.argwhere(bad)[0][1])
+        raise NumericalDomainError(f"non-finite drift label at grid point {i}", where=X[i])
 
     q = np.array([float(stage_cost(X[i])) for i in range(N)])
     if not np.all(np.isfinite(q)):

@@ -32,6 +32,14 @@ def positive(value, name: str) -> float:
     return out
 
 
+def nonnegative(value, name: str) -> float:
+    """``value`` as a finite float of at least zero."""
+    out = number(value, name)
+    if out < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {value!r}")
+    return out
+
+
 def exact_int(value, name: str) -> int:
     """``value`` as an int; a fraction is rejected instead of truncated, and
     a boolean (YAML ``true``) instead of read as 1 or 0."""

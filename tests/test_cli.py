@@ -263,6 +263,10 @@ def test_word_for_a_flag_is_rejected(pipeline, tmp_path, capsys, key, value):
     ("fd_step", 0, "positive"),
     ("kernel.sigma", -1.0, "positive"),
     ("seed", -1, ">= 0"),
+    # ranges the plant or its penalty would check too, but without the key
+    ("system.u_max", -1.0, "nonnegative"),
+    ("system.epsilon", -1.0, "nonnegative"),
+    ("cost.params.r_weight", -1.0, "positive"),
 ])
 @pytest.mark.parametrize("command", ["gen-data", "solve"])
 def test_out_of_range_setting_is_rejected_at_load(tmp_path, capsys, monkeypatch, key,

@@ -1,5 +1,6 @@
 """Systems, state grids, drift datasets, simulation, and the CSV format."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from genhjb.dynamics import (BLOWUP_NORM, ControlAffineSystem, StateGridSpec,
                              dataset_from_states, drift_under_input, flow,
                              generate_dataset, read_dataset,
                              simulate_closed_loop, write_dataset)
-from genhjb.errors import ConfigError, DivergenceError
+from genhjb.errors import ConfigError, DivergenceError, NumericalDomainError
 from genhjb.penalty import symmetric_box_penalty
 from genhjb.systems import (cartpole_default_grid, cartpole_systems,
                             linear_1d_system, linear_2d_system, make_benchmark,
@@ -216,7 +217,40 @@ def test_sample_states_latin_hypercube():
     # one point per stratum along each intrinsic axis
     strata = np.floor((S[:, 0] + 2.0) / 4.0 * 128).astype(int)
     assert len(set(np.clip(strata, 0, 127))) == 128
-    np.testing.assert_allclose(grid.sample_states(128, seed=3), S)
+
+
+def _scipy_lhs_states(grid, n, seed):
+    """scipy's Latin hypercube draw mapped to the grid's box and embedded."""
+    import scipy.stats  # here only: the package itself must not load it
+
+    unit = scipy.stats.qmc.LatinHypercube(d=grid.n_intrinsic, seed=seed).random(n)
+    lo, hi = np.array(grid.bounds).T
+    return grid.embed(lo + unit * (hi - lo))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 128, 4000])
+def test_sample_states_is_scipys_latin_hypercube(d, n):
+    grid = StateGridSpec(bounds=[(-1.0 - k, 2.0 + 0.5 * k) for k in range(d)],
+                         counts=(3,) * d)
+    for seed in (0, 1, 3, 101):
+        ours = grid.sample_states(n, seed=seed)
+        assert ours.tobytes() == _scipy_lhs_states(grid, n, seed).tobytes()
+
+
+def test_criterion_6_design_is_scipys_latin_hypercube():
+    grid = cartpole_default_grid()
+    ours = grid.sample_states(4000, seed=0)
+    assert ours.shape == (4000, 5)
+    assert ours.tobytes() == _scipy_lhs_states(grid, 4000, 0).tobytes()
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0])
+def test_sample_states_count_must_be_a_positive_integer(n):
+    # a fraction is not truncated, and a boolean is not one point
+    grid = StateGridSpec(bounds=((0.0, 1.0),), counts=(3,))
+    with pytest.raises(ConfigError, match="^n must be"):
+        grid.sample_states(n)
 
 
 def test_generate_dataset_hand_example():
@@ -259,6 +293,56 @@ def test_channel_differences_recover_input_map_columns():
             cols = np.stack([bench.system.input_map(x)[:, j] for x in X])
             np.testing.assert_allclose(ds.drift_labels[j + 1] - ds.drift_labels[0],
                                        cols, rtol=1e-12, atol=1e-13)
+
+
+def _two_input_system():
+    return ControlAffineSystem(
+        name="two-input", n_x=2, n_u=2,
+        drift=lambda x: np.array([x[1], -np.sin(x[0]) - 0.3 * x[1]]),
+        input_map=lambda x: np.array([[1.0, x[1]], [np.cos(x[0]), 2.0]]),
+        u_min=np.array([-1.0, -2.0]), u_max=np.array([1.0, 2.0]), epsilon=0.0)
+
+
+def test_dataset_labels_are_per_point_drift_under_input():
+    pend, cart, lin = (make_benchmark(n) for n in ("pendulum", "cartpole", "linear-2d"))
+    designs = [
+        (pend.system, pend.grid.states(), pend.stage_cost),
+        (cart.system, cart.grid.sample_states(500, seed=1), cart.stage_cost),
+        (lin.system, lin.grid.states(), lin.stage_cost),
+        (_two_input_system(), np.random.default_rng(0).uniform(-2.0, 2.0, (200, 2)),
+         lambda x: float(x @ x)),
+    ]
+    for system, X, stage_cost in designs:
+        ds = dataset_from_states(system, X, stage_cost)
+        units = [np.zeros(system.n_u)] + list(np.eye(system.n_u))
+        labels = np.array([[drift_under_input(system, x, u) for x in X] for u in units])
+        q = np.array([float(stage_cost(x)) for x in X])
+        assert ds.drift_labels.tobytes() == labels.tobytes(), system.name
+        assert ds.q.tobytes() == q.tobytes(), system.name
+
+
+@pytest.mark.parametrize("label_mode", ["analytic", "finite-difference"])
+def test_non_finite_drift_label_names_its_point(label_mode):
+    sys_ = linear_2d_system(epsilon=0.0)
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
+
+    def drift(x):
+        # NaN near X[7] only; the short flows of finite differences pass
+        # within fd_step of it
+        return sys_.drift(x) + (np.nan if np.linalg.norm(x - X[7]) < 1e-2 else 0.0)
+
+    broken = replace(sys_, drift=drift)
+    with pytest.raises(NumericalDomainError, match="drift label at grid point 7$") as err:
+        dataset_from_states(broken, X, lambda x: 0.0, label_mode=label_mode)
+    assert err.value.where.tobytes() == X[7].tobytes()
+
+
+def test_non_finite_stage_cost_names_its_point():
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
+    cost = lambda x: np.inf if np.array_equal(x, X[12]) else 1.0  # noqa: E731
+    with pytest.raises(NumericalDomainError, match="stage cost at grid point 12$") as err:
+        dataset_from_states(linear_2d_system(), X, cost)
+    assert err.value.where.tobytes() == X[12].tobytes()
 
 
 def test_fd_labels_second_order_on_pendulum():
