@@ -8,26 +8,21 @@ of data points, so a 25-point dataset does about as well as 400.
 import numpy as np
 from dataclasses import replace
 
-from genhjb import KernelSpec, PipelineSpec, StateGridSpec
+from genhjb import KernelSpec, PipelineSpec, make_benchmark
 from genhjb.evaluation import SweepSpec, run_sweep
-from genhjb.penalty import symmetric_box_penalty
-from genhjb.systems import linear_1d_system
+from genhjb.hjb import HjbConfig
 
-base = PipelineSpec(
-    system=linear_1d_system(a=1.0, b=1.0, u_max=5.0, epsilon=0.01),
-    grid=StateGridSpec(bounds=((-2.0, 2.0),), counts=(200,)),
-    stage_cost=lambda x: 1.5 * float(x[0]) ** 2,
-    pen=symmetric_box_penalty([0.5], 5.0),
-    kernel=KernelSpec("squared-exponential", 1.0),
-    gamma=1e-8, dt=0.01, horizon_steps=1000,
-)
-reference = lambda x: -3.0 * x
+# linear-1d: dx = (x + u) dt on [-2, 2] with q(x) = 1.5 x^2 and r(u) = u^2 / 2,
+# whose exact feedback -3x is the benchmark's reference
+base = PipelineSpec(bench=make_benchmark("linear-1d"),
+                    kernel=KernelSpec("squared-exponential", 1.0),
+                    gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=1000))
 
 print("lengthscale sweep (RMSE against the exact feedback):")
 spec = SweepSpec(base=base, variable="lengthscale",
                  values=tuple(np.geomspace(0.5, 300.0, 9)),
-                 reference=reference, region_lo=np.array([-1.0]),
-                 region_hi=np.array([1.0]), n_points=1000, seed=0)
+                 region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
+                 n_points=1000, seed=0)
 rows = run_sweep(spec)
 for r in rows:
     # longer bar = better policy, 20 characters per decade of accuracy
@@ -40,7 +35,7 @@ print(f"\nbest sigma {best['value']:.3f}; now varying the dataset size there:")
 spec = SweepSpec(base=replace(base, kernel=KernelSpec("squared-exponential",
                                                       best["value"])),
                  variable="dataset_size", values=(25, 50, 100, 200, 400),
-                 reference=reference, region_lo=np.array([-1.0]),
-                 region_hi=np.array([1.0]), n_points=1000, seed=0)
+                 region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
+                 n_points=1000, seed=0)
 for r in run_sweep(spec):
     print(f"  N={r['n_points']:4d}  rmse={r['rmse']:9.5f}")

@@ -7,21 +7,16 @@ drift samples and recovers the policy from the value function.
 """
 import numpy as np
 
-from genhjb import KernelSpec, PipelineSpec, StateGridSpec, run_pipeline
+from genhjb import KernelSpec, PipelineSpec, make_benchmark, run_pipeline
 from genhjb.evaluation import rmse_to_reference
-from genhjb.hjb import policy_at, value_at
-from genhjb.penalty import symmetric_box_penalty
-from genhjb.systems import linear_1d_system
+from genhjb.hjb import HjbConfig, policy_at, value_at
 
-pen = symmetric_box_penalty([0.5], 5.0)
-spec = PipelineSpec(
-    system=linear_1d_system(a=1.0, b=1.0, u_max=5.0, epsilon=0.01),
-    grid=StateGridSpec(bounds=((-2.0, 2.0),), counts=(200,)),
-    stage_cost=lambda x: 1.5 * float(x[0]) ** 2,
-    pen=pen,
-    kernel=KernelSpec("squared-exponential", 1.0),
-    gamma=1e-8, dt=0.01, horizon_steps=1000,
-)
+# linear-1d is this plant on a 200-point grid over [-2, 2], with
+# q(x) = 1.5 x^2 and r(u) = u^2 / 2 on the box |u| <= 5
+bench = make_benchmark("linear-1d")
+pen = bench.pen
+spec = PipelineSpec(bench=bench, kernel=KernelSpec("squared-exponential", 1.0),
+                    gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=1000))
 sol = run_pipeline(spec)
 
 print("    x     value   learned u   exact -3x")

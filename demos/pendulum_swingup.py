@@ -10,14 +10,11 @@ import numpy as np
 
 from genhjb import KernelSpec, PipelineSpec, make_benchmark, run_pipeline
 from genhjb.dynamics import accumulated_cost, simulate_closed_loop
-from genhjb.hjb import smoothed_policy_at
+from genhjb.hjb import HjbConfig, smoothed_policy_at
 
 bench = make_benchmark("pendulum")
-spec = PipelineSpec(
-    system=bench.system, grid=bench.grid, stage_cost=bench.stage_cost,
-    pen=bench.pen, kernel=KernelSpec("smoothed-laplace", 25.0),
-    gamma=1e-12, dt=0.02, horizon_steps=500,
-)
+spec = PipelineSpec(bench=bench, kernel=KernelSpec("smoothed-laplace", 25.0),
+                    gamma=1e-12, hjb=HjbConfig(dt=0.02, horizon_steps=500))
 print(f"fitting on {bench.grid.n_points} grid points "
       "and solving 500 backward steps...")
 sol = run_pipeline(spec)

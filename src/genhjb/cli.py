@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import dynamics, evaluation, hjb, kernels, systems
+from . import evaluation, hjb, kernels, systems
 from .dynamics import (accumulated_cost, generate_dataset, read_dataset, simulate_closed_loop,
                        write_dataset)
 from .errors import ConfigError, NumericalError, count, nonnegative, number, positive
@@ -107,8 +107,6 @@ SCHEMA = {
     "gamma": (positive, REQUIRED),
     "dt": (positive, REQUIRED),
     "horizon_steps": (count, REQUIRED),
-    "label_mode": (_one_of(*dynamics.LABEL_MODES), dynamics.LABEL_MODE),
-    "fd_step": (positive, dynamics.FD_STEP),
     "seed": (_seed, 0),
     "out_dir": (_instance(str, "a string"), "."),
     "eval.rmse.region_lo": (_numbers, None),
@@ -172,8 +170,9 @@ def _check_length(key: str, value, n: int) -> None:
 class ExperimentConfig:
     """A YAML experiment config, parsed whole against ``SCHEMA`` at load.
 
-    ``settings`` maps every dotted key to its typed value or default.  A key
-    without a default must be set, except under ``eval`` (``eval_settings``).
+    ``pipeline`` is the one ``PipelineSpec`` every stage reads.  ``settings``
+    maps every dotted key to its typed value or default.  A key without a
+    default must be set, except under ``eval`` (``eval_settings``).
     """
 
     def __init__(self, raw):
@@ -191,11 +190,12 @@ class ExperimentConfig:
         for key in ("grid.bounds", "grid.counts"):
             _check_length(key, s[key], bench.grid.n_intrinsic)
         grid = {k: s["grid." + k] for k in ("bounds", "counts") if s["grid." + k]}
-        self.bench = replace(bench, grid=replace(bench.grid, **grid))
-        self.kernel = KernelSpec(family=s["kernel.family"], sigma=s["kernel.sigma"])
-        self.gamma = s["gamma"]
-        self.hjb_config = HjbConfig(dt=s["dt"], horizon_steps=s["horizon_steps"])
-        self.labels = {"label_mode": s["label_mode"], "fd_step": s["fd_step"]}
+        self.pipeline = evaluation.PipelineSpec(
+            bench=replace(bench, grid=replace(bench.grid, **grid)),
+            kernel=KernelSpec(family=s["kernel.family"], sigma=s["kernel.sigma"]),
+            gamma=s["gamma"],
+            hjb=HjbConfig(dt=s["dt"], horizon_steps=s["horizon_steps"]),
+        )
         self.seed, self.out_dir = s["seed"], s["out_dir"]
         self.settings = s
         doc = {k: v for k, v in raw.items() if k not in _HASH_EXCLUDED}
@@ -211,7 +211,8 @@ class ExperimentConfig:
         opts = {key[len(prefix):]: value for key, value in self.settings.items()
                 if key.startswith(prefix)}
         _require(opts, prefix)
-        n_x, n_sim = self.bench.system.n_x, self.bench.sim_system.n_x
+        bench = self.pipeline.bench
+        n_x, n_sim = bench.system.n_x, bench.sim_system.n_x
         for end, fill in (("lo", -1.0), ("hi", 1.0)):
             if opts.get(f"region_{end}", ()) is None:
                 opts[f"region_{end}"] = [fill] * n_x
@@ -252,8 +253,8 @@ def _check_hash(kind: str, artifact_hash, cfg: ExperimentConfig) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    bench = cfg.bench
-    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost, **cfg.labels)
+    bench = cfg.pipeline.bench
+    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost)
     path = args.dataset or _out_path(cfg, "dataset.csv")
     write_dataset(path, ds, config_hash=cfg.config_hash)
     print(f"wrote {path}: N={ds.n_points} n_x={ds.n_x} n_u={ds.n_u}")
@@ -266,7 +267,8 @@ def cmd_fit(args) -> int:
     ds, ds_hash = read_dataset(path)
     _check_hash("dataset", ds_hash, cfg)
     t0 = time.perf_counter()
-    model = fit(ds, cfg.kernel, cfg.gamma, cfg.bench.system.epsilon)
+    spec = cfg.pipeline
+    model = fit(ds, spec.kernel, spec.gamma, spec.bench.system.epsilon)
     elapsed = time.perf_counter() - t0
     out = args.model or _out_path(cfg, "model.npz")
     save_model(out, model, config_hash=cfg.config_hash)
@@ -278,18 +280,19 @@ def cmd_fit(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    pen = cfg.bench.pen
+    spec = cfg.pipeline
+    pen = spec.bench.pen
     path = args.model or os.path.join(cfg.out_dir, "model.npz")
     model, meta = load_model(path)
     _check_hash("model", meta.get("config_hash"), cfg)
     t0 = time.perf_counter()
-    sol = solve_fvp(model, pen, cfg.hjb_config)
+    sol = solve_fvp(model, pen, spec.hjb)
     elapsed = time.perf_counter() - t0
     out = args.solution or _out_path(cfg, "solution.npz")
     save_solution(out, sol, config_hash=cfg.config_hash)
     grid_csv = _out_path(cfg, "value_policy.csv")
     hjb.write_value_policy_csv(grid_csv, sol, pen, model.X, config_hash=cfg.config_hash)
-    print(f"wrote {out} and {grid_csv}: steps={cfg.hjb_config.horizon_steps} "
+    print(f"wrote {out} and {grid_csv}: steps={spec.hjb.horizon_steps} "
           f"solve_time={elapsed:.2f}s")
     return 0
 
@@ -317,7 +320,7 @@ def _sim_stage_cost(bench):
 
 def cmd_eval(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    bench = cfg.bench
+    bench = cfg.pipeline.bench
     mode = args.mode
     opts = cfg.eval_settings(mode)
 
@@ -381,14 +384,8 @@ def cmd_eval(args) -> int:
         return 0
 
     # sweep reruns the full pipeline per value, no stored artifacts needed
-    reference = bench.reference_policy()
-    base = evaluation.PipelineSpec(
-        system=bench.system, grid=bench.grid, stage_cost=bench.stage_cost,
-        pen=bench.pen, kernel=cfg.kernel, gamma=cfg.gamma, dt=cfg.hjb_config.dt,
-        horizon_steps=cfg.hjb_config.horizon_steps, **cfg.labels,
-    )
     spec = evaluation.SweepSpec(
-        base=base, variable=opts["variable"], values=opts["values"], reference=reference,
+        base=cfg.pipeline, variable=opts["variable"], values=opts["values"],
         region_lo=opts["region_lo"], region_hi=opts["region_hi"],
         n_points=opts["n_points"], seed=cfg.seed,
     )

@@ -14,15 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConfigError, DivergenceError, NumericalDomainError, count,
-                     exact_int, positive)
+                     exact_int)
 from .npzio import write_csv
 from .penalty import penalty_value
 
-# how drift labels are made: the drift itself, or central differences of
-# noiseless flows over +-fd_step; the defaults when the caller does not say
-LABEL_MODES = ("analytic", "finite-difference")
-LABEL_MODE = "analytic"
-FD_STEP = 1e-4
 # a rollout state whose Euclidean norm exceeds this has diverged
 BLOWUP_NORM = 1e6
 
@@ -78,24 +73,6 @@ def drift_under_input(system: ControlAffineSystem, x, u) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError(f"non-finite drift at x={x!r}", where=x)
     return out
-
-
-def flow(system: ControlAffineSystem, x, u, t: float) -> np.ndarray:
-    """Integrate the noiseless dynamics under constant input u for time t.
-
-    One classic fourth-order Runge-Kutta step; ``t`` may be negative.
-    """
-    x = _state(system, x)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def rhs(z):
-        return system.drift(z) + system.input_map(z) @ u
-
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * t * k1)
-    k3 = rhs(x + 0.5 * t * k2)
-    k4 = rhs(x + t * k3)
-    return x + (t / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -253,39 +230,25 @@ def generate_dataset(
     system: ControlAffineSystem,
     grid: StateGridSpec,
     stage_cost: Callable[[np.ndarray], float],
-    label_mode: str = LABEL_MODE,
-    fd_step: float = FD_STEP,
 ) -> GeneratorDataset:
-    """Sample drift labels and stage costs on the grid.
-
-    ``label_mode`` selects how drift labels are produced: "analytic" calls
-    the model's drift directly, "finite-difference" differences short
-    noiseless flows, (flow(h) - flow(-h)) / (2 h), as one would from
-    trajectory snapshots.
-    """
+    """Sample drift labels and stage costs on the grid."""
     if grid.n_x != system.n_x:
         raise ValueError(
             f"grid embeds into dimension {grid.n_x} but system has n_x={system.n_x}"
         )
-    return dataset_from_states(system, grid.states(), stage_cost,
-                               label_mode=label_mode, fd_step=fd_step)
+    return dataset_from_states(system, grid.states(), stage_cost)
 
 
 def dataset_from_states(
     system: ControlAffineSystem,
     states,
     stage_cost: Callable[[np.ndarray], float],
-    label_mode: str = LABEL_MODE,
-    fd_step: float = FD_STEP,
 ) -> GeneratorDataset:
     """Like generate_dataset but on an arbitrary (N, n_x) set of states.
 
     Useful for non-tensor designs such as low-discrepancy samples, where a
     full grid at the same resolution would be too large.
     """
-    if label_mode not in LABEL_MODES:
-        raise ConfigError(f"unknown label_mode {label_mode!r}")
-    positive(fd_step, "fd_step")
     X = np.ascontiguousarray(np.asarray(states, dtype=float))
     if X.ndim != 2 or X.shape[1] != system.n_x:
         raise ValueError(f"states must have shape (N, {system.n_x})")
@@ -297,14 +260,9 @@ def dataset_from_states(
     labels = np.empty((system.n_u + 1, N, system.n_x))
     for c, u in enumerate(channels):
         for i, x in enumerate(X):
-            if label_mode == "analytic":
-                # drift_under_input's arithmetic; its per-point checks are the
-                # one finiteness scan below
-                labels[c, i] = drift(x) + input_map(x) @ u
-            else:
-                fwd = flow(system, x, u, fd_step)
-                bwd = flow(system, x, u, -fd_step)
-                labels[c, i] = (fwd - bwd) / (2.0 * fd_step)
+            # drift_under_input's arithmetic; its per-point checks are the
+            # one finiteness scan below
+            labels[c, i] = drift(x) + input_map(x) @ u
     bad = ~np.isfinite(labels).all(axis=2)
     if bad.any():
         # the first bad point in channel order, then point order

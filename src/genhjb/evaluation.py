@@ -14,14 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (FD_STEP, LABEL_MODE, ControlAffineSystem, StateGridSpec,
-                       accumulated_cost, generate_dataset, simulate_closed_loop)
+from .dynamics import (ControlAffineSystem, accumulated_cost, generate_dataset,
+                       simulate_closed_loop)
 from .errors import ConfigError, DivergenceError, NumericalError, count, positive
 from .generator import fit
 from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
 from .kernels import KernelSpec
 from .npzio import write_csv
 from .penalty import ControlPenalty
+from .systems import Benchmark
 
 SWEEP_VARIABLES = ("lengthscale", "dataset_size")
 # uniform sample size that rmse_to_reference scores a policy on
@@ -30,27 +31,22 @@ SCORE_POINTS = 1000
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Everything needed to go from a system to a solved value function."""
+    """Everything needed to go from a system to a solved value function: the
+    benchmark (plant, grid, stage cost, penalty), the kernel and ridge weight
+    ``gamma`` of the generator fit, and the HJB time stepping."""
 
-    system: ControlAffineSystem
-    grid: StateGridSpec
-    stage_cost: Callable
-    pen: ControlPenalty
+    bench: Benchmark
     kernel: KernelSpec
     gamma: float
-    dt: float
-    horizon_steps: int
-    label_mode: str = LABEL_MODE
-    fd_step: float = FD_STEP
+    hjb: HjbConfig
 
 
 def run_pipeline(spec: PipelineSpec) -> HjbSolution:
     """Generate data, fit the generator, solve the final-value problem."""
-    ds = generate_dataset(spec.system, spec.grid, spec.stage_cost,
-                          label_mode=spec.label_mode, fd_step=spec.fd_step)
-    model = fit(ds, spec.kernel, spec.gamma, spec.system.epsilon)
-    config = HjbConfig(dt=spec.dt, horizon_steps=spec.horizon_steps)
-    return solve_fvp(model, spec.pen, config)
+    bench = spec.bench
+    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost)
+    model = fit(ds, spec.kernel, spec.gamma, bench.system.epsilon)
+    return solve_fvp(model, bench.pen, spec.hjb)
 
 
 def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
@@ -84,26 +80,28 @@ def rmse_to_reference(policy: Callable, reference: Callable, lo, hi,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Rerun a pipeline while varying one knob, scoring against a reference.
+    """Rerun a pipeline while varying one knob, scoring against the benchmark's
+    reference feedback.
 
     ``variable`` is "lengthscale" (kernel sigma) or "dataset_size" (total
     grid points, an integer, spread evenly across grid dimensions).  The
-    reference is a feedback policy; scoring uses :func:`rmse_to_reference`
-    on the box (region_lo, region_hi).
+    reference is ``base.bench.reference_policy()``, so the benchmark must
+    have one; scoring uses :func:`rmse_to_reference` on the box (region_lo,
+    region_hi).
     """
 
     base: PipelineSpec
     variable: str
     values: tuple
-    reference: Callable
     region_lo: np.ndarray
     region_hi: np.ndarray
     n_points: int = SCORE_POINTS
     seed: int = 0
 
     def __post_init__(self):
+        self.base.bench.reference_policy()  # a ConfigError before any run
         values = sweep_values(self.variable, self.values, "values")
-        lo, hi = check_box(self.region_lo, self.region_hi, self.base.system.n_x,
+        lo, hi = check_box(self.region_lo, self.region_hi, self.base.bench.system.n_x,
                            "region_lo", "region_hi")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "region_lo", lo)
@@ -126,23 +124,21 @@ def sweep_values(variable: str, values, name: str) -> tuple:
 def _pipeline_for_value(spec: SweepSpec, value) -> PipelineSpec:
     base = spec.base
     if spec.variable == "lengthscale":
-        kernel = replace(base.kernel, sigma=float(value))
-        return replace(base, kernel=kernel)
-    d = base.grid.n_intrinsic
-    per_axis = max(1, round(value ** (1.0 / d)))
-    grid = StateGridSpec(bounds=base.grid.bounds, counts=(per_axis,) * d,
-                         angle_dims=base.grid.angle_dims)
-    return replace(base, grid=grid)
+        return replace(base, kernel=replace(base.kernel, sigma=float(value)))
+    grid = base.bench.grid
+    per_axis = max(1, round(value ** (1.0 / grid.n_intrinsic)))
+    grid = replace(grid, counts=(per_axis,) * grid.n_intrinsic)
+    return replace(base, bench=replace(base.bench, grid=grid))
 
 
-def _sweep_one(spec: SweepSpec, value) -> dict:
+def _sweep_one(spec: SweepSpec, reference: Callable, value) -> dict:
     pipeline = _pipeline_for_value(spec, value)
-    row = {"value": float(value), "n_points": pipeline.grid.n_points,
+    row = {"value": float(value), "n_points": pipeline.bench.grid.n_points,
            "rmse": float("nan"), "error": None}
     try:
         sol = run_pipeline(pipeline)
         row["rmse"] = rmse_to_reference(
-            lambda x: policy_at(sol, pipeline.pen, x), spec.reference,
+            lambda x: policy_at(sol, pipeline.bench.pen, x), reference,
             spec.region_lo, spec.region_hi, spec.n_points, spec.seed,
         )
     except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -158,10 +154,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    reference = spec.base.bench.reference_policy()
     if jobs == 1:
-        return [_sweep_one(spec, v) for v in spec.values]
+        return [_sweep_one(spec, reference, v) for v in spec.values]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda v: _sweep_one(spec, v), spec.values))
+        return list(pool.map(lambda v: _sweep_one(spec, reference, v), spec.values))
 
 
 def rollout_steps(duration: float, control_hz: float, sim_dt: float) -> tuple:
@@ -169,7 +166,11 @@ def rollout_steps(duration: float, control_hz: float, sim_dt: float) -> tuple:
     if not all(0.0 < v < np.inf for v in (duration, control_hz, sim_dt)):
         raise ConfigError("duration, control_hz and sim_dt must be positive, got "
                           f"{duration}, {control_hz} and {sim_dt}")
-    return int(round(duration / sim_dt)), max(1, int(round(1.0 / (control_hz * sim_dt))))
+    steps = int(round(duration / sim_dt))
+    if steps < 1:
+        raise ConfigError(f"duration must span at least one step of sim_dt, got "
+                          f"duration {duration} and sim_dt {sim_dt}")
+    return steps, max(1, int(round(1.0 / (control_hz * sim_dt))))
 
 
 @dataclass(frozen=True)

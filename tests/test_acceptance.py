@@ -21,8 +21,7 @@ from genhjb.hjb import (HjbConfig, policy_at, smoothed_policy_at, solve_fvp,
                         value_on)
 from genhjb.kernels import fd_check_derivatives
 from genhjb.penalty import dual_value, symmetric_box_penalty
-from genhjb.systems import (cartpole_default_grid, linear_1d_system,
-                            linear_2d_system, lqr_feedback)
+from genhjb.systems import cartpole_default_grid, linear_1d_system, lqr_feedback
 
 pytestmark = pytest.mark.acceptance
 
@@ -30,13 +29,10 @@ PEN5 = symmetric_box_penalty([0.5], 5.0)
 
 
 def _linear_1d_base(sigma):
-    return PipelineSpec(
-        system=linear_1d_system(a=1.0, b=1.0, u_max=5.0, epsilon=0.01),
-        grid=StateGridSpec(bounds=((-2.0, 2.0),), counts=(200,)),
-        stage_cost=lambda x: 1.5 * float(x[0]) ** 2,
-        pen=PEN5, kernel=KernelSpec("squared-exponential", sigma),
-        gamma=1e-8, dt=0.01, horizon_steps=1000,
-    )
+    # dx = (x + u) dt on a 200-point grid over [-2, 2], q = 1.5 x^2, r = u^2/2
+    return PipelineSpec(bench=make_benchmark("linear-1d"),
+                        kernel=KernelSpec("squared-exponential", sigma),
+                        gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=1000))
 
 
 def test_criterion_1_linear_1d_tracks_riccati_policy():
@@ -63,14 +59,10 @@ def test_criterion_2_linear_2d_tracks_care_feedback():
     B = np.array([[0.0], [1.0]])
     reference = lqr_feedback(A, B, np.eye(2), [[0.5]], u_min=[-5.0],
                              u_max=[5.0])
-    spec = PipelineSpec(
-        system=linear_2d_system(u_max=5.0, epsilon=0.01),
-        grid=StateGridSpec(bounds=((-2.0, 2.0), (-2.0, 2.0)),
-                           counts=(30, 30)),
-        stage_cost=lambda x: float(x @ x), pen=PEN5,
-        kernel=KernelSpec("squared-exponential", 3.0),
-        gamma=1e-8, dt=0.01, horizon_steps=1000,
-    )
+    # linear-2d is that plant on a 30x30 grid over [-2, 2]^2 with |u| <= 5
+    spec = PipelineSpec(bench=make_benchmark("linear-2d"),
+                        kernel=KernelSpec("squared-exponential", 3.0),
+                        gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=1000))
     sol = run_pipeline(spec)
     rmse = rmse_to_reference(lambda x: policy_at(sol, PEN5, x), reference,
                              [-1.0, -1.0], [1.0, 1.0], n_points=2000, seed=0)
@@ -85,10 +77,10 @@ def test_criterion_2_linear_2d_tracks_care_feedback():
 @pytest.fixture(scope="module")
 def lengthscale_rows():
     values = tuple(np.geomspace(0.5, 300.0, 5))  # spans 2.8 decades
+    # scored against the benchmark's LQR feedback, -3x
     spec = SweepSpec(base=_linear_1d_base(1.0), variable="lengthscale",
-                     values=values, reference=lambda x: -3.0 * x,
-                     region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
-                     n_points=2000, seed=0)
+                     values=values, region_lo=np.array([-1.0]),
+                     region_hi=np.array([1.0]), n_points=2000, seed=0)
     return run_sweep(spec)
 
 
@@ -112,8 +104,7 @@ def test_criterion_4_rmse_is_flat_in_dataset_size(lengthscale_rows):
     spec = SweepSpec(
         base=replace(_linear_1d_base(1.0),
                      kernel=KernelSpec("squared-exponential", best["value"])),
-        variable="dataset_size", values=(25, 400),
-        reference=lambda x: -3.0 * x, region_lo=np.array([-1.0]),
+        variable="dataset_size", values=(25, 400), region_lo=np.array([-1.0]),
         region_hi=np.array([1.0]), n_points=2000, seed=0)
     rows = run_sweep(spec)
     r25, r400 = rows[0]["rmse"], rows[1]["rmse"]
@@ -129,11 +120,8 @@ def test_criterion_5_pendulum_swing_up():
     # dt=0.02 for 500 steps; 50 rollouts of 5 s at 50 Hz from [-pi,pi]x[-8,8]
     t0 = time.perf_counter()
     bench = make_benchmark("pendulum")
-    spec = PipelineSpec(
-        system=bench.system, grid=bench.grid, stage_cost=bench.stage_cost,
-        pen=bench.pen, kernel=KernelSpec("smoothed-laplace", 25.0),
-        gamma=1e-12, dt=0.02, horizon_steps=500,
-    )
+    spec = PipelineSpec(bench=bench, kernel=KernelSpec("smoothed-laplace", 25.0),
+                        gamma=1e-12, hjb=HjbConfig(dt=0.02, horizon_steps=500))
     sol = run_pipeline(spec)
     policy = lambda q: smoothed_policy_at(sol, bench.pen,
                                           bench.grid.embed_point(q))

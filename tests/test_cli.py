@@ -8,6 +8,9 @@ import pytest
 import yaml
 
 from genhjb import cli
+from genhjb.evaluation import run_pipeline
+from genhjb.generator import load_model
+from genhjb.hjb import load_solution
 
 
 def _config(out_dir, **overrides):
@@ -111,11 +114,20 @@ def test_eval_sweep(pipeline, capsys):
     assert len(lines) == 4
 
 
+def test_stages_match_run_pipeline(pipeline):
+    # gen-data, fit and solve read the one spec that run_pipeline runs
+    model, _ = load_model(pipeline["out"] / "model.npz")
+    sol, _ = load_solution(pipeline["out"] / "solution.npz", model)
+    want = run_pipeline(cli.load_config(pipeline["cfg"]).pipeline)
+    assert sol.v0.tobytes() == want.v0.tobytes()
+    assert sol.bv0.tobytes() == want.bv0.tobytes()
+
+
 def test_reference_uses_penalty_block_weights(tmp_path):
     # scalar Riccati 2P - P^2 / R + q = 0 with a = b = 1, q = 1.5, R = 2:
     # P = 2 + sqrt(7), u(1) = -P / R
     doc = _config(tmp_path, cost={"params": {"q_weight": 1.5, "r_weight": 2.0}})
-    reference = cli.ExperimentConfig(doc).bench.reference_policy()
+    reference = cli.ExperimentConfig(doc).pipeline.bench.reference_policy()
     assert reference([1.0]) == pytest.approx([-(2.0 + 7.0**0.5) / 2.0], rel=1e-12)
 
 
@@ -210,7 +222,7 @@ def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, 
 
 
 @pytest.mark.parametrize("key", [
-    "kernel.sigma", "gamma", "dt", "fd_step", "eval.rollout.duration",
+    "kernel.sigma", "gamma", "dt", "eval.rollout.duration",
     "eval.rollout.sim_dt", "eval.cost-bench.control_hz", "system.epsilon",
     "system.u_max", "system.params.a", "cost.params.q_weight",
 ])
@@ -260,7 +272,6 @@ def test_word_for_a_flag_is_rejected(pipeline, tmp_path, capsys, key, value):
     ("dt", 0, "positive"),
     ("gamma", 0, "positive"),
     ("horizon_steps", 0, ">= 1"),
-    ("fd_step", 0, "positive"),
     ("kernel.sigma", -1.0, "positive"),
     ("seed", -1, ">= 0"),
     # ranges the plant or its penalty would check too, but without the key
@@ -301,10 +312,12 @@ def test_bad_sweep_is_rejected_before_any_pipeline(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("key, value, message", [
     ("penalty", {"weights": [2.0], "u_max": 5.0}, "unknown keys in config: ['penalty']"),
     ("grid.angle_dims", [], "unknown keys in grid: ['angle_dims']"),
+    ("label_mode", "finite-difference", "unknown keys in config: ['label_mode']"),
+    ("fd_step", 1e-4, "unknown keys in config: ['fd_step']"),
 ])
 def test_removed_key_is_unknown(tmp_path, capsys, key, value, message):
-    # the penalty is cost.params.r_weight on the box |u| <= system.u_max, and
-    # the grid's angle dims are the system's
+    # the penalty is cost.params.r_weight on the box |u| <= system.u_max, the
+    # grid's angle dims are the system's, and drift labels are the model's drift
     doc = _config(tmp_path / "o")
     _set(doc, key, value)
     cfg = _write(tmp_path / "c.yaml", doc)
@@ -324,7 +337,7 @@ def test_absent_eval_block_is_needed_only_when_its_mode_runs(tmp_path, capsys):
 def test_grid_override_takes_the_systems_angle_dims(tmp_path):
     doc = _config(tmp_path, system={"name": "pendulum"}, cost={"params": {}},
                   grid={"bounds": [[-3.0, 3.0], [-8.0, 8.0]], "counts": [5, 4]})
-    grid = cli.ExperimentConfig(doc).bench.grid
+    grid = cli.ExperimentConfig(doc).pipeline.bench.grid
     assert grid.angle_dims == (0,)
     assert (grid.n_x, grid.n_points) == (3, 20)
 
@@ -503,4 +516,19 @@ def test_rollout_rejects_wrong_x0_dimension(pipeline, tmp_path, capsys, monkeypa
     cfg = _write(tmp_path / "c.yaml", doc)
     assert cli.main(["eval", "--mode", "rollout", "--config", cfg]) == 2
     assert "eval.rollout.x0 must have 1 entries" in capsys.readouterr().err
+    assert loads == []
+
+
+@pytest.mark.parametrize("mode", ["rollout", "cost-bench"])
+def test_rollout_shorter_than_half_a_step_is_rejected(pipeline, tmp_path, capsys,
+                                                     monkeypatch, mode):
+    # it rounds to zero simulator steps; said before the model archive is loaded
+    loads = []
+    monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+    doc = _config(pipeline["out"])
+    doc["eval"][mode].update(duration=1e-4, sim_dt=1e-3)
+    cfg = _write(tmp_path / "c.yaml", doc)
+    assert cli.main(["eval", "--mode", mode, "--config", cfg]) == 2
+    assert "duration must span at least one step of sim_dt, got duration 0.0001 " \
+        "and sim_dt 0.001" in capsys.readouterr().err
     assert loads == []

@@ -1,13 +1,24 @@
-"""The fast demos run to the end against the current public API."""
+"""The fast demos and the README's library example run to the end against
+the current public API."""
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize("name", ["kernel_tour.py", "linear_oracle.py"])
+@pytest.mark.parametrize("name", ["kernel_tour.py", "linear_oracle.py",
+                                  "lengthscale_sweep.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

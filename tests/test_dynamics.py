@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from genhjb.dynamics import (BLOWUP_NORM, ControlAffineSystem, StateGridSpec,
                              accumulated_cost,
-                             dataset_from_states, drift_under_input, flow,
+                             dataset_from_states, drift_under_input,
                              generate_dataset, read_dataset,
                              simulate_closed_loop, write_dataset)
 from genhjb.errors import ConfigError, DivergenceError, NumericalDomainError
@@ -277,10 +277,6 @@ def test_generate_dataset_rejects_mismatched_grid():
     grid = StateGridSpec(bounds=((-1.0, 1.0),), counts=(3,))
     with pytest.raises(ValueError):
         generate_dataset(sys_, grid, lambda x: 0.0)
-    with pytest.raises(ConfigError):
-        generate_dataset(sys_, StateGridSpec(bounds=((-1.0, 1.0), (-1.0, 1.0)),
-                                             counts=(2, 2)),
-                         lambda x: 0.0, label_mode="nope")
 
 
 def test_channel_differences_recover_input_map_columns():
@@ -321,19 +317,16 @@ def test_dataset_labels_are_per_point_drift_under_input():
         assert ds.q.tobytes() == q.tobytes(), system.name
 
 
-@pytest.mark.parametrize("label_mode", ["analytic", "finite-difference"])
-def test_non_finite_drift_label_names_its_point(label_mode):
+def test_non_finite_drift_label_names_its_point():
     sys_ = linear_2d_system(epsilon=0.0)
     X = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
 
     def drift(x):
-        # NaN near X[7] only; the short flows of finite differences pass
-        # within fd_step of it
-        return sys_.drift(x) + (np.nan if np.linalg.norm(x - X[7]) < 1e-2 else 0.0)
+        return sys_.drift(x) + (np.nan if np.array_equal(x, X[7]) else 0.0)
 
     broken = replace(sys_, drift=drift)
     with pytest.raises(NumericalDomainError, match="drift label at grid point 7$") as err:
-        dataset_from_states(broken, X, lambda x: 0.0, label_mode=label_mode)
+        dataset_from_states(broken, X, lambda x: 0.0)
     assert err.value.where.tobytes() == X[7].tobytes()
 
 
@@ -343,39 +336,6 @@ def test_non_finite_stage_cost_names_its_point():
     with pytest.raises(NumericalDomainError, match="stage cost at grid point 12$") as err:
         dataset_from_states(linear_2d_system(), X, cost)
     assert err.value.where.tobytes() == X[12].tobytes()
-
-
-def test_fd_labels_second_order_on_pendulum():
-    # central differences of the noiseless flow: halving h divides the error
-    # by about 4
-    sys_, _ = pendulum_systems()
-    th = 2.0
-    X = np.array([[np.cos(th), np.sin(th), 1.3]])
-    exact = dataset_from_states(sys_, X, lambda x: 0.0)
-    errs = []
-    for h in (1e-2, 5e-3):
-        fd = dataset_from_states(sys_, X, lambda x: 0.0,
-                                 label_mode="finite-difference", fd_step=h)
-        errs.append(np.linalg.norm(fd.drift_labels - exact.drift_labels))
-    ratio = errs[0] / errs[1]
-    assert 3.5 <= ratio <= 4.5
-
-
-def test_fd_labels_close_to_analytic():
-    sys_ = linear_2d_system()
-    grid = StateGridSpec(bounds=((-1.0, 1.0), (-1.0, 1.0)), counts=(3, 3))
-    an = generate_dataset(sys_, grid, lambda x: 0.0)
-    fd = generate_dataset(sys_, grid, lambda x: 0.0,
-                          label_mode="finite-difference", fd_step=1e-4)
-    np.testing.assert_allclose(fd.drift_labels, an.drift_labels, atol=1e-9)
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
-def test_fd_step_must_be_positive_and_finite(h):
-    # a zero step would divide 0 by 0 into NaN labels
-    with pytest.raises(ValueError, match="fd_step must be"):
-        dataset_from_states(linear_2d_system(), np.zeros((1, 2)), lambda x: 0.0,
-                            label_mode="finite-difference", fd_step=h)
 
 
 def test_simulation_hand_example_and_determinism():
@@ -489,18 +449,6 @@ def test_simulation_rejects_a_nonfinite_start():
     for x0 in ([np.inf, 0.0], [0.0, np.nan]):
         with pytest.raises(ValueError, match="x0 must be finite"):
             simulate_closed_loop(sim, lambda x: np.zeros(1), x0, dt=1e-3, steps=10)
-
-
-def test_rk4_flow_preserves_circle_constraint():
-    # the noiseless deterministic integrator holds cos^2 + sin^2 = 1 to well
-    # below 1e-6 per unit time at millisecond substeps
-    sys_, _ = pendulum_systems()
-    x = np.array([np.cos(0.3), np.sin(0.3), 0.0])
-    worst = 0.0
-    for _ in range(1000):
-        x = flow(sys_, x, [0.0], 1e-3)
-        worst = max(worst, abs(x[0]**2 + x[1]**2 - 1.0))
-    assert worst <= 1e-6
 
 
 def test_euler_circle_drift_is_first_order():

@@ -1,11 +1,12 @@
 """Pipelines, policy accuracy metrics, sweeps, and rollout benchmarks."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from genhjb import KernelSpec, fit
+from genhjb import KernelSpec, fit, make_benchmark
 from genhjb.dynamics import (ControlAffineSystem, StateGridSpec,
                              generate_dataset)
 from genhjb.errors import ConfigError
@@ -15,21 +16,17 @@ from genhjb.evaluation import (CostBenchSpec, PipelineSpec, SweepSpec,
                                write_summary_json, write_sweep_csv)
 from genhjb.hjb import HjbConfig, policy_at, solve_fvp
 from genhjb.penalty import symmetric_box_penalty
-from genhjb.systems import linear_1d_system
 
 SE1 = KernelSpec("squared-exponential", 1.0)
 PEN = symmetric_box_penalty([0.5], 5.0)
+# dx = (x + u) dt, q(x) = 1.5 x^2, r(u) = u^2 / 2 on |u| <= 5: feedback -3x
+LINEAR_1D = make_benchmark("linear-1d")
 
 
-def _spec(**kw):
-    base = dict(
-        system=linear_1d_system(epsilon=0.01),
-        grid=StateGridSpec(bounds=((-2.0, 2.0),), counts=(40,)),
-        stage_cost=lambda x: 1.5 * float(x[0]) ** 2,
-        pen=PEN, kernel=SE1, gamma=1e-8, dt=0.01, horizon_steps=400,
-    )
-    base.update(kw)
-    return PipelineSpec(**base)
+def _spec(grid=StateGridSpec(bounds=((-2.0, 2.0),), counts=(40,)), horizon_steps=400,
+          gamma=1e-8):
+    return PipelineSpec(bench=replace(LINEAR_1D, grid=grid), kernel=SE1, gamma=gamma,
+                        hjb=HjbConfig(dt=0.01, horizon_steps=horizon_steps))
 
 
 def test_rmse_identical_policies_is_zero():
@@ -75,18 +72,20 @@ def test_rmse_validation():
 def test_run_pipeline_matches_manual_composition():
     spec = _spec(horizon_steps=100)
     sol = run_pipeline(spec)
-    ds = generate_dataset(spec.system, spec.grid, spec.stage_cost)
-    model = fit(ds, spec.kernel, spec.gamma, spec.system.epsilon)
-    ref = solve_fvp(model, spec.pen, HjbConfig(dt=spec.dt, horizon_steps=100))
+    bench = spec.bench
+    ds = generate_dataset(bench.system, bench.grid, bench.stage_cost)
+    model = fit(ds, spec.kernel, spec.gamma, bench.system.epsilon)
+    ref = solve_fvp(model, bench.pen, HjbConfig(dt=0.01, horizon_steps=100))
     np.testing.assert_array_equal(sol.v0, ref.v0)
     np.testing.assert_array_equal(sol.bv0, ref.bv0)
 
 
-def test_finite_difference_labels_track_analytic_ones():
-    a = run_pipeline(_spec(horizon_steps=100))
-    b = run_pipeline(_spec(horizon_steps=100, label_mode="finite-difference",
-                           fd_step=1e-4))
-    np.testing.assert_allclose(b.v0, a.v0, atol=1e-3)
+def test_linear_1d_reference_is_the_riccati_feedback():
+    # the sweeps score against the benchmark's LQR feedback, which for this
+    # plant is the closed form -3x
+    reference = LINEAR_1D.reference_policy()
+    for x in np.linspace(-1.0, 1.0, 11):
+        np.testing.assert_allclose(reference([x]), [-3.0 * x], rtol=0, atol=1e-14)
 
 
 def test_regularization_bias_grows_with_gamma():
@@ -103,16 +102,24 @@ def test_regularization_bias_grows_with_gamma():
 
 
 def test_sweep_spec_validation():
-    kw = dict(base=_spec(), values=(1.0,), reference=lambda x: x,
-              region_lo=np.array([-1.0]), region_hi=np.array([1.0]))
+    kw = dict(base=_spec(), values=(1.0,), region_lo=np.array([-1.0]),
+              region_hi=np.array([1.0]))
     with pytest.raises(ConfigError):
         SweepSpec(variable="bandwidth", **kw)
     with pytest.raises(ConfigError):
         SweepSpec(base=_spec(), variable="lengthscale", values=(),
-                  reference=lambda x: x, region_lo=np.array([-1.0]),
-                  region_hi=np.array([1.0]))
+                  region_lo=np.array([-1.0]), region_hi=np.array([1.0]))
     with pytest.raises(ValueError):
         run_sweep(SweepSpec(variable="lengthscale", **kw), jobs=0)
+
+
+def test_sweep_needs_a_benchmark_with_a_reference():
+    # the pendulum has no closed-form feedback to score against, which the
+    # spec says before any pipeline runs
+    base = replace(_spec(), bench=make_benchmark("pendulum"))
+    with pytest.raises(ConfigError, match="closed-form reference"):
+        SweepSpec(base=base, variable="lengthscale", values=(1.0,),
+                  region_lo=-np.ones(3), region_hi=np.ones(3))
 
 
 @pytest.mark.parametrize("change, message", [
@@ -128,37 +135,33 @@ def test_sweep_spec_validation():
 ])
 def test_sweep_spec_rejects_what_a_run_would_trip_over(change, message):
     kw = dict(base=_spec(), variable="lengthscale", values=(1.0,),
-              reference=lambda x: x, region_lo=np.array([-1.0]),
-              region_hi=np.array([1.0]))
+              region_lo=np.array([-1.0]), region_hi=np.array([1.0]))
     with pytest.raises(ConfigError, match=message):
         SweepSpec(**{**kw, **change})
 
 
 def test_single_value_sweep_equals_direct_pipeline():
-    reference = lambda x: np.clip(-3.0 * x, -5.0, 5.0)
     base = _spec(horizon_steps=200)
     spec = SweepSpec(base=base, variable="lengthscale", values=(0.7,),
-                     reference=reference, region_lo=np.array([-1.0]),
-                     region_hi=np.array([1.0]), n_points=100, seed=3)
+                     region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
+                     n_points=100, seed=3)
     rows = run_sweep(spec)
     assert len(rows) == 1
     assert rows[0]["value"] == 0.7
     assert rows[0]["n_points"] == 40
     assert rows[0]["error"] is None
-    from dataclasses import replace
     direct = run_pipeline(replace(base, kernel=KernelSpec(
         "squared-exponential", 0.7)))
-    want = rmse_to_reference(lambda x: policy_at(direct, PEN, x), reference,
-                             [-1.0], [1.0], n_points=100, seed=3)
+    want = rmse_to_reference(lambda x: policy_at(direct, PEN, x),
+                             LINEAR_1D.reference_policy(), [-1.0], [1.0],
+                             n_points=100, seed=3)
     assert rows[0]["rmse"] == want
 
 
 def test_dataset_size_sweep_resizes_the_grid():
-    reference = lambda x: -3.0 * x
     spec = SweepSpec(base=_spec(horizon_steps=50), variable="dataset_size",
-                     values=(25, 40), reference=reference,
-                     region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
-                     n_points=20)
+                     values=(25, 40), region_lo=np.array([-1.0]),
+                     region_hi=np.array([1.0]), n_points=20)
     rows = run_sweep(spec)
     assert [r["n_points"] for r in rows] == [25, 40]
     assert all(r["error"] is None for r in rows)
@@ -170,19 +173,17 @@ def test_sweep_failure_becomes_nan_row():
     bad = _spec(grid=StateGridSpec(bounds=((0.0, 0.0),), counts=(2,)),
                 gamma=1e-18)
     spec = SweepSpec(base=bad, variable="lengthscale", values=(1.0,),
-                     reference=lambda x: x, region_lo=np.array([-1.0]),
-                     region_hi=np.array([1.0]), n_points=10)
+                     region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
+                     n_points=10)
     row = run_sweep(spec)[0]
     assert math.isnan(row["rmse"])
     assert "ConditioningError" in row["error"]
 
 
 def test_parallel_sweep_matches_serial():
-    reference = lambda x: -3.0 * x
     spec = SweepSpec(base=_spec(horizon_steps=50), variable="lengthscale",
-                     values=(0.5, 1.0, 2.0), reference=reference,
-                     region_lo=np.array([-1.0]), region_hi=np.array([1.0]),
-                     n_points=20)
+                     values=(0.5, 1.0, 2.0), region_lo=np.array([-1.0]),
+                     region_hi=np.array([1.0]), n_points=20)
     assert run_sweep(spec, jobs=2) == run_sweep(spec, jobs=1)
 
 
@@ -267,7 +268,8 @@ def test_cost_bench_spec_validation():
               n_rollouts=2)
     CostBenchSpec(**ok)
     for bad in (dict(init_lo=(0.0, 0.0)), dict(init_hi=(-1.0,)),
-                dict(duration=0.0), dict(control_hz=0.0), dict(sim_dt=0.0),
+                dict(duration=0.0), dict(duration=4e-4), dict(control_hz=0.0),
+                dict(sim_dt=0.0),
                 dict(n_rollouts=0)):
         with pytest.raises(ValueError):
             CostBenchSpec(**{**ok, **bad})
