@@ -83,7 +83,6 @@ def _params(**parsers):
     return parse
 
 
-_flag = _instance(bool, "true or false")
 _seed = functools.partial(count, least=0)
 _numbers = _list_of(number)
 
@@ -115,18 +114,11 @@ SCHEMA = {
     "eval.rollout.x0": (_numbers, REQUIRED),
     "eval.rollout.duration": (positive, 5.0),
     "eval.rollout.control_hz": (positive, 50.0),
-    "eval.rollout.sim_dt": (positive, evaluation.CostBenchSpec.sim_dt),
-    "eval.rollout.smooth": (_flag, True),
-    "eval.rollout.noise": (_flag, evaluation.CostBenchSpec.noise),
     "eval.cost-bench.init_lo": (_numbers, REQUIRED),
     "eval.cost-bench.init_hi": (_numbers, REQUIRED),
     "eval.cost-bench.duration": (positive, REQUIRED),
     "eval.cost-bench.control_hz": (positive, REQUIRED),
     "eval.cost-bench.n_rollouts": (count, REQUIRED),
-    "eval.cost-bench.sim_dt": (positive, evaluation.CostBenchSpec.sim_dt),
-    "eval.cost-bench.smooth": (_flag, True),
-    "eval.cost-bench.noise": (_flag, evaluation.CostBenchSpec.noise),
-    "eval.cost-bench.baseline": (_flag, True),
     "eval.sweep.variable": (_one_of(*evaluation.SWEEP_VARIABLES), REQUIRED),
     "eval.sweep.values": (_numbers, REQUIRED),
     "eval.sweep.region_lo": (_numbers, None),
@@ -307,11 +299,10 @@ def _load_solution_pair(cfg: ExperimentConfig, args):
     return sol
 
 
-def _sim_policy(sol, bench, smooth: bool):
+def _sim_policy(sol, bench):
     # Rollouts integrate bench.sim_system (physical coordinates); the value
     # function lives on embedded states, so embed before querying.
-    policy_at = hjb.smoothed_policy_at if smooth else hjb.policy_at
-    return lambda q: policy_at(sol, bench.pen, bench.grid.embed_point(q))
+    return lambda q: hjb.smoothed_policy_at(sol, bench.pen, bench.grid.embed_point(q))
 
 
 def _sim_stage_cost(bench):
@@ -338,14 +329,13 @@ def cmd_eval(args) -> int:
         return 0
 
     if mode == "rollout":
-        sim_dt = opts["sim_dt"]
+        sim_dt = evaluation.CostBenchSpec.sim_dt
         steps, interval = evaluation.rollout_steps(opts["duration"], opts["control_hz"],
                                                    sim_dt)
         sol = _load_solution_pair(cfg, args)
-        policy = _sim_policy(sol, bench, smooth=opts["smooth"])
         states, inputs = simulate_closed_loop(
-            bench.sim_system, policy, opts["x0"], sim_dt, steps, seed=cfg.seed,
-            noise=opts["noise"], control_interval=interval,
+            bench.sim_system, _sim_policy(sol, bench), opts["x0"], sim_dt, steps,
+            noise=False, control_interval=interval,
         )
         cost = accumulated_cost(states, inputs, _sim_stage_cost(bench), bench.pen,
                                 sim_dt)
@@ -361,24 +351,22 @@ def cmd_eval(args) -> int:
         spec = evaluation.CostBenchSpec(
             system=bench.sim_system, stage_cost=_sim_stage_cost(bench), pen=bench.pen,
             init_lo=opts["init_lo"], init_hi=opts["init_hi"], duration=opts["duration"],
-            control_hz=opts["control_hz"], n_rollouts=opts["n_rollouts"],
-            sim_dt=opts["sim_dt"], seed=cfg.seed, noise=opts["noise"],
+            control_hz=opts["control_hz"], n_rollouts=opts["n_rollouts"], seed=cfg.seed,
         )
         sol = _load_solution_pair(cfg, args)
-        policy = _sim_policy(sol, bench, smooth=opts["smooth"])
-        result = evaluation.run_cost_bench(spec, policy)
+        result = evaluation.run_cost_bench(spec, _sim_policy(sol, bench))
+        base = evaluation.run_cost_bench(spec, lambda x: np.zeros(bench.sim_system.n_u))
         payload = {"mode": "cost-bench", "mean": result["mean"], "std": result["std"],
                    "n_excluded": result["n_excluded"],
-                   "max_abs_input": result["max_abs_input"]}
-        if opts["baseline"]:
-            zero = lambda x: np.zeros(bench.sim_system.n_u)
-            base = evaluation.run_cost_bench(spec, zero)
-            payload["baseline_mean"] = base["mean"]
-            payload["baseline_std"] = base["std"]
+                   "max_abs_input": result["max_abs_input"],
+                   "baseline_mean": base["mean"], "baseline_std": base["std"]}
         evaluation.write_costs_csv(_out_path(cfg, "costs.csv"), result,
                                    config_hash=cfg.config_hash)
         out = _out_path(cfg, "summary.json")
         evaluation.write_summary_json(out, payload, config_hash=cfg.config_hash)
+        if result["n_excluded"] == spec.n_rollouts:
+            print(f"cost-bench: all {spec.n_rollouts} rollouts diverged (wrote {out})")
+            return 3
         print(f"cost mean={result['mean']:.6g} std={result['std']:.6g} "
               f"excluded={result['n_excluded']} (wrote {out})")
         return 0

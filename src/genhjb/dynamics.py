@@ -375,7 +375,9 @@ def write_dataset(path, ds: GeneratorDataset, config_hash: str | None = None) ->
 def read_dataset(path):
     """Read a dataset CSV written by :func:`write_dataset`.
 
-    Returns (dataset, config_hash) where the hash is None if absent.
+    Returns (dataset, config_hash) where the hash is None if absent.  A
+    non-finite entry is a ConfigError naming its data row (1 is the first
+    row after the header) and column.
     """
     config_hash = None
     with open(path, newline="") as fh:
@@ -409,6 +411,11 @@ def read_dataset(path):
         raise ConfigError(f"malformed numeric row in {path}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ConfigError(f"dataset rows in {path} do not match the header")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"non-finite value {data[row, col]} in {path} at data row "
+                          f"{row + 1}, column {header[col]}")
     X = data[:, :n_x]
     labels = np.stack(
         [data[:, n_x + c * n_x: n_x + (c + 1) * n_x] for c in range(n_groups)], axis=0

@@ -8,6 +8,7 @@ synthesized policy out under zero-order hold and accumulate running cost.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -183,7 +184,7 @@ class CostBenchSpec:
     physical-coordinate twin here (``Benchmark.sim_system``) and compose the
     embedding into ``policy`` and ``stage_cost`` yourself.  The policy is
     queried at ``control_hz`` and held between queries while the dynamics
-    substep at ``sim_dt``.
+    substep at ``sim_dt`` by noise-free Euler steps.
     """
 
     system: ControlAffineSystem
@@ -196,7 +197,6 @@ class CostBenchSpec:
     n_rollouts: int
     sim_dt: float = 1e-3
     seed: int = 0
-    noise: bool = False
 
     def __post_init__(self):
         lo, hi = check_box(self.init_lo, self.init_hi, self.system.n_x, "init_lo", "init_hi")
@@ -223,8 +223,7 @@ def run_cost_bench(spec: CostBenchSpec, policy: Callable) -> dict:
         x0 = rng.uniform(spec.init_lo, spec.init_hi)
         try:
             states, inputs = simulate_closed_loop(
-                spec.system, policy, x0, spec.sim_dt, steps,
-                seed=[spec.seed, i, 1], noise=spec.noise,
+                spec.system, policy, x0, spec.sim_dt, steps, noise=False,
                 control_interval=control_interval,
             )
         except DivergenceError:
@@ -258,10 +257,12 @@ def write_costs_csv(path, result, config_hash: str | None = None) -> None:
 
 
 def write_summary_json(path, payload: dict, config_hash: str | None = None) -> None:
-    """Scalar summary as JSON with stable key order."""
-    doc = dict(payload)
+    """Scalar summary as JSON with stable key order; a non-finite number,
+    such as the mean of a bench whose rollouts all diverged, is null."""
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in payload.items()}
     if config_hash is not None:
         doc["config_hash"] = config_hash
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

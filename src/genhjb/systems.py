@@ -257,7 +257,8 @@ def _linear_maps(sys_: ControlAffineSystem):
 
 
 def _linear_benchmark(sys_, counts, cost_params, q_default, stage_cost):
-    """A linear plant on [-2, 2]^n_x with stage cost q x'x and r(u) = r u^2 / 2.
+    """A linear plant on [-2, 2]^n_x with stage cost q x'x and r(u) = r u^2,
+    where r is ``r_weight`` (0.5 by default, which gives u^2 / 2).
 
     ``stage_cost(q)`` returns the cost function for the weight q.
     """

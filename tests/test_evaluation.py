@@ -305,9 +305,10 @@ def test_costs_csv_format(tmp_path):
 
 def test_summary_json_format(tmp_path):
     path = tmp_path / "summary.json"
-    write_summary_json(path, {"b": 2, "a": 1.5}, config_hash="beef")
+    write_summary_json(path, {"b": 2, "a": 1.5, "c": float("nan"), "d": -float("inf")},
+                       config_hash="beef")
     text = path.read_text()
     assert text.endswith("\n")
-    doc = json.loads(text)
-    assert doc == {"a": 1.5, "b": 2, "config_hash": "beef"}
+    doc = json.loads(text, parse_constant=pytest.fail)  # NaN and Infinity are not JSON
+    assert doc == {"a": 1.5, "b": 2, "c": None, "d": None, "config_hash": "beef"}
     assert list(doc) == sorted(doc)
