@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,19 +26,21 @@ BLOWUP_NORM = 1e6
 class ControlAffineSystem:
     """Dynamics dx/dt = f(x) + G(x) u plus isotropic noise of strength epsilon.
 
-    ``drift`` maps one state, an array of shape (n_x,), to f(x);
-    ``input_map`` maps it to the (n_x, n_u) matrix G(x).  The benchmark
-    plants compute on the state's entries as Python floats, since rollouts
-    call them once per step (see ``systems``); plants that take a batch of
-    states are ROADMAP item 4.  ``epsilon`` is the diffusion coefficient in
-    front of sqrt(2) dW, not a variance.
+    ``drift`` and ``input_map`` take one state as a sequence of n_x Python
+    floats and return plain lists: ``drift`` gives f(x) as n_x floats and
+    ``input_map`` gives G(x) as n_x rows of n_u floats.  A rollout calls
+    both once per simulator step and steps the state on floats (see
+    ``simulate_closed_loop``); callers that want arrays wrap the result in
+    ``np.asarray``.  Plants that take a batch of states belong to ROADMAP
+    item 5's cross-rollout batching.  ``epsilon`` is the diffusion
+    coefficient in front of sqrt(2) dW, not a variance.
     """
 
     name: str
     n_x: int
     n_u: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    input_map: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[Sequence[float]], list]
+    input_map: Callable[[Sequence[float]], list]
     u_min: np.ndarray
     u_max: np.ndarray
     epsilon: float
@@ -69,7 +71,8 @@ def drift_under_input(system: ControlAffineSystem, x, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (system.n_u,):
         raise ValueError(f"input must have shape ({system.n_u},), got {u.shape}")
-    out = system.drift(x) + system.input_map(x) @ u
+    xs = x.tolist()
+    out = np.asarray(system.drift(xs)) + np.asarray(system.input_map(xs)) @ u
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError(f"non-finite drift at x={x!r}", where=x)
     return out
@@ -258,11 +261,12 @@ def dataset_from_states(
     drift, input_map = system.drift, system.input_map
 
     labels = np.empty((system.n_u + 1, N, system.n_x))
-    for c, u in enumerate(channels):
-        for i, x in enumerate(X):
-            # drift_under_input's arithmetic; its per-point checks are the
-            # one finiteness scan below
-            labels[c, i] = drift(x) + input_map(x) @ u
+    for i, x in enumerate(X.tolist()):
+        # drift_under_input's arithmetic; its per-point checks are the one
+        # finiteness scan below
+        f, G = np.asarray(drift(x)), np.asarray(input_map(x))
+        for c, u in enumerate(channels):
+            labels[c, i] = f + G @ u
     bad = ~np.isfinite(labels).all(axis=2)
     if bad.any():
         # the first bad point in channel order, then point order
@@ -288,13 +292,21 @@ def simulate_closed_loop(
 ):
     """Euler-Maruyama rollout under a state feedback policy.
 
-    The policy is evaluated every ``control_interval`` steps and held
-    constant in between (zero-order hold); inputs are clipped to the
-    system's box before use and recorded post-clipping.  Returns
-    (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).  A state
-    that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
+    The policy gets the state as an array every ``control_interval`` steps
+    and its input is held constant in between (zero-order hold); inputs are
+    clipped to the system's box before use and recorded post-clipping.
+    Returns (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).
+    A state that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
     DivergenceError with the step that produced it; a start ``x0`` that is
-    not finite is a ValueError.
+    not finite is a ValueError, and so is a plant whose ``drift`` or
+    ``input_map`` has the wrong shape at the first step.
+
+    The state is stepped as a list of Python floats: on 2-5 entries numpy's
+    per-call overhead costs more than the arithmetic.  Each step is
+    x_i + dt (f_i + sum_j G_ij u_j) with the channels summed in order, then
+    sqrt(2 eps dt) times one ``standard_normal(n_x)`` draw when noisy.  With
+    one input that is bitwise the array formula
+    ``x + dt * (f + G @ u) + noise_scale * z``.
     """
     x = _state(system, x0)
     if not np.all(np.isfinite(x)):
@@ -308,29 +320,56 @@ def simulate_closed_loop(
     if control_interval < 1:
         raise ValueError("control_interval must be >= 1")
     rng = np.random.default_rng(seed)
-    noise_scale = np.sqrt(2.0 * system.epsilon * dt)
+    noise_scale = math.sqrt(2.0 * system.epsilon * dt)
     noisy = noise and system.epsilon > 0
     drift, input_map, blowup_norm = system.drift, system.input_map, BLOWUP_NORM
+    n_x, n_u = system.n_x, system.n_u
+    channels = range(n_u)
 
-    states = np.empty((steps + 1, system.n_x))
-    inputs = np.empty((steps, system.n_u))
-    states[0] = x
-    u = np.zeros(system.n_u)
+    x = x.tolist()
+    states, inputs = [x], []
     for k in range(steps):
         if k % control_interval == 0:
-            u = np.atleast_1d(np.asarray(policy(x), dtype=float))
-            if u.shape != (system.n_u,):
-                raise ValueError(f"policy returned shape {u.shape}, expected ({system.n_u},)")
-            u = np.clip(u, system.u_min, system.u_max)
-        inputs[k] = u
-        x = x + dt * (drift(x) + input_map(x) @ u)
+            u = np.atleast_1d(np.asarray(policy(np.array(x)), dtype=float))
+            if u.shape != (n_u,):
+                raise ValueError(f"policy returned shape {u.shape}, expected ({n_u},)")
+            u = np.clip(u, system.u_min, system.u_max).tolist()
+        inputs.append(u)
+        f, G = drift(x), input_map(x)
+        if k == 0:
+            _check_plant_output(system, f, G)
+        # x_i + dt (f_i + sum_j G_ij u_j), the channels summed in order from
+        # 0.0 as a matmul sums them, so that 0 * -1 adds +0.0
+        stepped = []
+        for x_i, f_i, g in zip(x, f, G):
+            gu = 0.0
+            for j in channels:
+                gu += g[j] * u[j]
+            stepped.append(x_i + dt * (f_i + gu))
         if noisy:
-            x = x + noise_scale * rng.standard_normal(system.n_x)
-        # np.linalg.norm's own formula; a NaN or inf norm fails the test too
-        if not math.sqrt(x @ x) <= blowup_norm:
+            z = rng.standard_normal(n_x).tolist()
+            stepped = [x_i + noise_scale * z_i for x_i, z_i in zip(stepped, z)]
+        x = stepped
+        # a NaN or inf sum fails the test too
+        norm2 = 0.0
+        for x_i in x:
+            norm2 += x_i * x_i
+        if not math.sqrt(norm2) <= blowup_norm:
             raise DivergenceError(f"trajectory blew up at step {k}", step=k)
-        states[k + 1] = x
-    return states, inputs
+        states.append(x)
+    return np.array(states), np.array(inputs)
+
+
+def _check_plant_output(system: ControlAffineSystem, f, G) -> None:
+    """drift must give n_x entries and input_map n_x rows of n_u entries."""
+    n_x, n_u = system.n_x, system.n_u
+    if len(f) != n_x:
+        raise ValueError(f"plant {system.name!r}: drift returned {len(f)} entries, "
+                         f"expected {n_x}")
+    rows = [len(g) for g in G]
+    if rows != [n_u] * n_x:
+        raise ValueError(f"plant {system.name!r}: input_map returned rows of lengths "
+                         f"{rows}, expected {n_x} rows of {n_u}")
 
 
 def accumulated_cost(states, inputs, stage_cost, pen, dt: float) -> float:

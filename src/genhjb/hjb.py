@@ -181,9 +181,11 @@ def policy_on(sol: HjbSolution, pen: ControlPenalty, X) -> np.ndarray:
 def smoothed_policy_at(sol: HjbSolution, pen: ControlPenalty, x) -> np.ndarray:
     """Arctan-mollified feedback, (2 umax / pi) arctan(u(x)) per channel.
 
-    Keeps the sign and saturation level of the raw policy but removes the
-    bang-bang switching that chatters under zero-order hold.  ``umax`` is
-    the penalty's upper box bound.
+    Keeps the sign of the raw policy and smooths its bang-bang switching
+    under zero-order hold, but not its saturation level: the largest output
+    is (2 umax / pi) arctan(umax), below umax (0.94 for 1.5 on the
+    pendulum, 6.37 for 7 on the cartpole), and the slope at 0 is
+    2 umax / pi.  ``umax`` is the penalty's upper box bound.
     """
     return (2.0 * pen.u_max / np.pi) * np.arctan(policy_at(sol, pen, x))
 

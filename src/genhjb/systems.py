@@ -5,13 +5,15 @@ theta appears as the pair (cos theta, sin theta).  For both mechanical
 benchmarks theta = 0 is the upright position, so stabilizing the origin of
 the stage cost means swinging up.
 
-The plant closures and stage costs take one state of shape (n_x,).  The
-mechanical ones unpack it to Python floats and use ``math.sin`` /
-``math.cos``: a rollout calls them once per simulator step, and on a
-handful of floats numpy's per-call overhead costs more than the arithmetic.
-The IEEE operations and their order are those of the array formulas, so the
-results are bitwise the same.  Plants that step many states at once are
-ROADMAP item 4.
+The plant closures take one state as a sequence of n_x Python floats and
+return plain lists (the contract of ``ControlAffineSystem``); the stage costs
+take one embedded state of shape (n_x,).  The mechanical ones compute on
+Python floats with ``math.sin`` / ``math.cos``: a rollout calls them once
+per simulator step, and on a handful of floats numpy's per-call overhead
+costs more than the arithmetic.  The IEEE operations and their order are
+those of the array formulas, so the results are bitwise the same.  Plants
+that step many states at once belong to ROADMAP item 5's cross-rollout
+batching.
 """
 from __future__ import annotations
 
@@ -37,14 +39,13 @@ def _plant(name, n_x, drift, input_map, u_max, epsilon) -> ControlAffineSystem:
 def linear_1d_system(a: float = 1.0, b: float = 1.0, u_max: float = 5.0,
                      epsilon: float = 0.01) -> ControlAffineSystem:
     """Scalar unstable plant dx = (a x + b u) dt + sqrt(2 eps) dW."""
-    return _plant("linear-1d", 1, lambda x: a * x, lambda x: np.array([[b]]), u_max, epsilon)
+    return _plant("linear-1d", 1, lambda x: [a * x[0]], lambda x: [[b]], u_max, epsilon)
 
 
 def linear_2d_system(u_max: float = 5.0, epsilon: float = 0.01) -> ControlAffineSystem:
     """Double integrator: position-velocity chain driven through the velocity."""
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    return _plant("linear-2d", 2, lambda x: A @ x, lambda x: B, u_max, epsilon)
+    return _plant("linear-2d", 2, lambda x: [x[1], 0.0], lambda x: [[0.0], [1.0]], u_max,
+                  epsilon)
 
 
 # Pendulum physical constants.  The effective inertia about the pivot is
@@ -74,15 +75,15 @@ def pendulum_systems(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _P
         return (mglc * s - damping * w) / J
 
     def drift(x):
-        c, s, w = x.tolist()
-        return np.array([-s * w, c * w, acceleration(s, w)])
+        c, s, w = x
+        return [-s * w, c * w, acceleration(s, w)]
 
     def sim_drift(x):
-        t, w = x.tolist()
-        return np.array([w, acceleration(math.sin(t), w)])
+        t, w = x
+        return [w, acceleration(math.sin(t), w)]
 
-    G = np.array([[0.0], [0.0], [1.0 / J]])
-    sim_G = np.array([[0.0], [1.0 / J]])
+    G = [[0.0], [0.0], [1.0 / J]]
+    sim_G = [[0.0], [1.0 / J]]
     return (_plant("pendulum", 3, drift, lambda x: G, u_max, epsilon),
             _plant("pendulum-intrinsic", 2, sim_drift, lambda x: sim_G, u_max, epsilon))
 
@@ -151,22 +152,22 @@ def cartpole_systems(epsilon: float = 0.01, u_max: float = 7.0,
         return m22 / det, -m12 / det
 
     def drift(x):
-        p, v, c, s, w = x.tolist()
+        p, v, c, s, w = x
         acc_p, acc_w = free(c, s, v, w)
-        return np.array([v, acc_p, -s * w, c * w, acc_w])
+        return [v, acc_p, -s * w, c * w, acc_w]
 
     def input_map(x):
-        gp, gw = per_force(float(x[2]))
-        return np.array([[0.0], [gp], [0.0], [0.0], [gw]])
+        gp, gw = per_force(x[2])
+        return [[0.0], [gp], [0.0], [0.0], [gw]]
 
     def sim_drift(x):
-        p, v, t, w = x.tolist()
+        p, v, t, w = x
         acc_p, acc_w = free(math.cos(t), math.sin(t), v, w)
-        return np.array([v, acc_p, w, acc_w])
+        return [v, acc_p, w, acc_w]
 
     def sim_input_map(x):
         gp, gw = per_force(math.cos(x[2]))
-        return np.array([[0.0], [gp], [0.0], [gw]])
+        return [[0.0], [gp], [0.0], [gw]]
 
     return (_plant("cartpole", 5, drift, input_map, u_max, epsilon),
             _plant("cartpole-intrinsic", 4, sim_drift, sim_input_map, u_max, epsilon))
@@ -252,8 +253,8 @@ class Benchmark:
 
 def _linear_maps(sys_: ControlAffineSystem):
     """(A, B) of a linear plant; A's columns are the drift at the unit vectors."""
-    A = np.column_stack([sys_.drift(e) for e in np.eye(sys_.n_x)])
-    return A, sys_.input_map(np.zeros(sys_.n_x))
+    A = np.column_stack([sys_.drift(e) for e in np.eye(sys_.n_x).tolist()])
+    return A, np.asarray(sys_.input_map([0.0] * sys_.n_x), dtype=float)
 
 
 def _linear_benchmark(sys_, counts, cost_params, q_default, stage_cost):

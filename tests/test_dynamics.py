@@ -1,4 +1,5 @@
 """Systems, state grids, drift datasets, simulation, and the CSV format."""
+import math
 import warnings
 from dataclasses import replace
 
@@ -119,7 +120,7 @@ def _assert_twins_are_one_plant(sysE, sysI, grid, q):
     x = grid.embed(q)
     np.testing.assert_array_equal(sysE.drift(x), _chain_rule_image(grid, x, sysI.drift(q)))
     np.testing.assert_array_equal(sysE.input_map(x),
-                                  _chain_rule_image(grid, x, sysI.input_map(q)))
+                                  _chain_rule_image(grid, x, np.asarray(sysI.input_map(q))))
     assert sysE.epsilon == sysI.epsilon and sysE.n_u == sysI.n_u
     np.testing.assert_array_equal(sysE.u_min, sysI.u_min)
     np.testing.assert_array_equal(sysE.u_max, sysI.u_max)
@@ -286,7 +287,7 @@ def test_channel_differences_recover_input_map_columns():
         X = bench.grid.states()[::97]
         ds = dataset_from_states(bench.system, X, bench.stage_cost)
         for j in range(bench.system.n_u):
-            cols = np.stack([bench.system.input_map(x)[:, j] for x in X])
+            cols = np.stack([np.asarray(bench.system.input_map(x))[:, j] for x in X])
             np.testing.assert_allclose(ds.drift_labels[j + 1] - ds.drift_labels[0],
                                        cols, rtol=1e-12, atol=1e-13)
 
@@ -294,8 +295,8 @@ def test_channel_differences_recover_input_map_columns():
 def _two_input_system():
     return ControlAffineSystem(
         name="two-input", n_x=2, n_u=2,
-        drift=lambda x: np.array([x[1], -np.sin(x[0]) - 0.3 * x[1]]),
-        input_map=lambda x: np.array([[1.0, x[1]], [np.cos(x[0]), 2.0]]),
+        drift=lambda x: [x[1], -math.sin(x[0]) - 0.3 * x[1]],
+        input_map=lambda x: [[1.0, x[1]], [math.cos(x[0]), 2.0]],
         u_min=np.array([-1.0, -2.0]), u_max=np.array([1.0, 2.0]), epsilon=0.0)
 
 
@@ -322,7 +323,8 @@ def test_non_finite_drift_label_names_its_point():
     X = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
 
     def drift(x):
-        return sys_.drift(x) + (np.nan if np.array_equal(x, X[7]) else 0.0)
+        bad = np.nan if np.array_equal(x, X[7]) else 0.0
+        return [f_i + bad for f_i in sys_.drift(x)]
 
     broken = replace(sys_, drift=drift)
     with pytest.raises(NumericalDomainError, match="drift label at grid point 7$") as err:
@@ -418,8 +420,8 @@ def test_nonfinite_drift_diverges_at_its_step(bad):
     # non-finite at x = 3, so step 3 produces the first bad state
     sys_ = ControlAffineSystem(
         name="ramp", n_x=1, n_u=1,
-        drift=lambda x: np.array([bad if x[0] >= 3.0 else 1.0]),
-        input_map=lambda x: np.ones((1, 1)), u_min=[-1.0], u_max=[1.0],
+        drift=lambda x: [bad if x[0] >= 3.0 else 1.0],
+        input_map=lambda x: [[1.0]], u_min=[-1.0], u_max=[1.0],
         epsilon=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -427,6 +429,77 @@ def test_nonfinite_drift_diverges_at_its_step(bad):
             simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.0], dt=1.0,
                                  steps=10, noise=False)
     assert exc.value.step == 3
+
+
+def _plant_2x1(drift, input_map):
+    return ControlAffineSystem(name="misshapen", n_x=2, n_u=1, drift=drift,
+                               input_map=input_map, u_min=[-1.0], u_max=[1.0],
+                               epsilon=0.0)
+
+
+@pytest.mark.parametrize("drift, returned", [
+    (lambda x: [x[0]], 1),
+    (lambda x: [x[0], x[1], 0.0], 3),
+], ids=["short", "long"])
+def test_simulation_checks_the_drift_length(drift, returned):
+    sys_ = _plant_2x1(drift, lambda x: [[0.0], [1.0]])
+    with pytest.raises(ValueError, match=rf"^plant 'misshapen': drift returned {returned} "
+                                         r"entries, expected 2$"):
+        simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.1, 0.2], dt=0.01, steps=3)
+
+
+@pytest.mark.parametrize("input_map, rows", [
+    (lambda x: [[1.0]], [1]),
+    (lambda x: [[0.0], [1.0], [1.0]], [1, 1, 1]),
+    (lambda x: [[0.0], [1.0, 2.0]], [1, 2]),
+    (lambda x: [[0.0], []], [1, 0]),
+], ids=["few-rows", "many-rows", "long-row", "empty-row"])
+def test_simulation_checks_the_input_map_shape(input_map, rows):
+    sys_ = _plant_2x1(lambda x: [x[1], 0.0], input_map)
+    with pytest.raises(ValueError, match=rf"^plant 'misshapen': input_map returned rows of "
+                                         rf"lengths \[{', '.join(map(str, rows))}\], "
+                                         r"expected 2 rows of 1$"):
+        simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.1, 0.2], dt=0.01, steps=3)
+
+
+def test_two_input_rollout_matches_numpy_euler():
+    # With two channels the float step sums G_i0 u_0 + G_i1 u_1 in order,
+    # where a matmul may sum in another order: equal to rounding, not bitwise
+    sys_ = _two_input_system()
+    dt, steps, interval, x0 = 1e-3, 20000, 10, [2.0, -1.0]
+
+    def feedback(x):
+        return np.array([-2.0 * x[0] - x[1] + 0.5, 1.5 * x[0] - 3.0 * x[1] + 0.5])
+
+    states, inputs = simulate_closed_loop(sys_, feedback, x0, dt, steps, noise=False,
+                                          control_interval=interval)
+    x = np.array(x0)
+    want_states, want_inputs = [x], []
+    for k in range(steps):
+        if k % interval == 0:
+            u = np.clip(feedback(x), sys_.u_min, sys_.u_max)
+        want_inputs.append(u)
+        f = np.array([x[1], -np.sin(x[0]) - 0.3 * x[1]])
+        G = np.array([[1.0, x[1]], [np.cos(x[0]), 2.0]])
+        x = x + dt * (f + G @ u)
+        want_states.append(x)
+    assert np.all(np.abs(inputs) == sys_.u_max, axis=1).any()    # both channels saturate
+    np.testing.assert_allclose(states, want_states, rtol=1e-12)
+    np.testing.assert_allclose(inputs, want_inputs, rtol=1e-12)
+
+
+def test_euler_step_keeps_the_signed_zeros_of_the_array_formula():
+    # from (-0, -0) under u = -1, G u's first entry is 0 * -1; a matmul sums
+    # it from +0.0, so the first step lands on +0.0, not -0.0
+    sys_ = linear_2d_system(epsilon=0.0)
+    states, _ = simulate_closed_loop(sys_, lambda x: np.array([-1.0]), [-0.0, -0.0],
+                                     dt=1e-3, steps=3, noise=False)
+    x, want = np.array([-0.0, -0.0]), [np.array([-0.0, -0.0])]
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    for _ in range(3):
+        x = x + 1e-3 * (A @ x + B @ np.array([-1.0]))
+        want.append(x)
+    assert states.tobytes() == np.array(want).tobytes()
 
 
 def test_simulation_rejects_fractional_counts():
@@ -532,23 +605,29 @@ def _cartpole_cost(e):
         + 1.0 * v**2 + 1.0 * w**2
 
 
-@pytest.mark.parametrize("name, step, cost, angle_dim, interval, steps, x0", [
+@pytest.mark.parametrize("name, step, cost, angle_dim, interval, steps, x0, noise", [
     pytest.param("pendulum", _pendulum_euler, _pendulum_cost, 0, 20, 5000, [3.0, 0.0],
-                 id="pendulum-hanging"),
+                 False, id="pendulum-hanging"),
     pytest.param("pendulum", _pendulum_euler, _pendulum_cost, 0, 20, 5000, [-2.5, 6.0],
-                 id="pendulum-spinning"),
+                 False, id="pendulum-spinning"),
     pytest.param("cartpole", _cartpole_euler, _cartpole_cost, 2, 5, 2000,
-                 [1.5, -2.0, 2.8, 4.0], id="cartpole-hanging"),
+                 [1.5, -2.0, 2.8, 4.0], False, id="cartpole-hanging"),
     pytest.param("cartpole", _cartpole_euler, _cartpole_cost, 2, 5, 2000,
-                 [-1.0, 0.5, -0.4, -3.0], id="cartpole-tilted"),
+                 [-1.0, 0.5, -0.4, -3.0], False, id="cartpole-tilted"),
+    pytest.param("pendulum", _pendulum_euler, _pendulum_cost, 0, 20, 5000, [3.0, 0.0],
+                 True, id="pendulum-hanging-noisy"),
+    pytest.param("cartpole", _cartpole_euler, _cartpole_cost, 2, 5, 2000,
+                 [-1.0, 0.5, -0.4, -3.0], True, id="cartpole-tilted-noisy"),
 ])
 def test_physical_rollouts_are_bitwise_numpy_euler(name, step, cost, angle_dim, interval,
-                                                   steps, x0):
+                                                   steps, x0, noise):
     # Plants, stage costs and embed_point compute on floats; they must stay
     # bitwise equal to the array formulas with np.sin / np.cos.  The feedback
     # acts on the embedded state, as the learned policy does, and saturates.
+    # A noisy rollout adds sqrt(2 eps dt) times one standard_normal(n_x) draw
+    # per step after the Euler step.
     bench = make_benchmark(name)
-    grid, pen, dt = bench.grid, bench.pen, 1e-3
+    grid, pen, dt, seed = bench.grid, bench.pen, 1e-3, 17
     gain = np.linspace(2.0, 8.0, grid.n_x)
 
     def feedback(e):
@@ -556,10 +635,12 @@ def test_physical_rollouts_are_bitwise_numpy_euler(name, step, cost, angle_dim, 
 
     states, inputs = simulate_closed_loop(
         bench.sim_system, lambda q: feedback(grid.embed_point(q)), x0, dt, steps,
-        noise=False, control_interval=interval)
+        seed=seed, noise=noise, control_interval=interval)
     total = accumulated_cost(states, inputs,
                              lambda q: bench.stage_cost(grid.embed_point(q)), pen, dt)
 
+    rng = np.random.default_rng(seed)
+    noise_scale = np.sqrt(2.0 * bench.sim_system.epsilon * dt)
     x, u, want_total = np.array(x0), None, 0.0
     want_states, want_inputs = [x], []
     for k in range(steps):
@@ -569,6 +650,8 @@ def test_physical_rollouts_are_bitwise_numpy_euler(name, step, cost, angle_dim, 
         want_total += float(cost(_embed(x, angle_dim)))
         want_total += float(np.sum(pen.weights * u**2))
         x = step(x, u, dt)
+        if noise:
+            x = x + noise_scale * rng.standard_normal(x.size)
         want_states.append(x)
     assert np.abs(inputs).max() == pen.u_max[0]      # the box is reached
     assert np.array_equal(states, np.array(want_states))

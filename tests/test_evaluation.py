@@ -190,8 +190,8 @@ def test_parallel_sweep_matches_serial():
 def _integrator(f=None):
     return ControlAffineSystem(
         name="toy", n_x=1, n_u=1,
-        drift=f or (lambda x: np.zeros(1)),
-        input_map=lambda x: np.eye(1),
+        drift=f or (lambda x: [0.0]),
+        input_map=lambda x: [[1.0]],
         u_min=[-5.0], u_max=[5.0], epsilon=0.0,
     )
 
@@ -214,7 +214,7 @@ def test_cost_bench_constant_stage_cost():
 
 
 def test_cost_bench_deterministic_and_seeded():
-    spec = dict(system=_integrator(lambda x: -x), stage_cost=lambda x: float(x @ x),
+    spec = dict(system=_integrator(lambda x: [-x[0]]), stage_cost=lambda x: float(x @ x),
                 pen=PEN, init_lo=(-1.0,), init_hi=(1.0,), duration=0.3,
                 control_hz=20.0, n_rollouts=3)
     pol = lambda x: np.clip(-x, -5.0, 5.0)
@@ -250,8 +250,8 @@ def test_cost_bench_input_respects_simulator_box():
 def test_cost_bench_counts_diverged_rollouts():
     # dx/dt = x^2 from x0 >= 2 escapes in finite time
     blow = ControlAffineSystem(name="blow", n_x=1, n_u=1,
-                               drift=lambda x: x * x,
-                               input_map=lambda x: np.eye(1),
+                               drift=lambda x: [x[0] * x[0]],
+                               input_map=lambda x: [[1.0]],
                                u_min=[-1.0], u_max=[1.0], epsilon=0.0)
     spec = CostBenchSpec(system=blow, stage_cost=lambda x: 1.0, pen=None,
                          init_lo=(2.0,), init_hi=(3.0,), duration=2.0,
