@@ -50,6 +50,8 @@ class ControlAffineSystem:
         hi = np.atleast_1d(np.asarray(self.u_max, dtype=float))
         if lo.shape != (self.n_u,) or hi.shape != (self.n_u,):
             raise ValueError(f"control box must have shape ({self.n_u},)")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("control box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("control box is empty (u_min > u_max)")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
@@ -142,24 +144,26 @@ class StateGridSpec:
         parts.append(Q[..., start:])
         return np.concatenate(parts, axis=-1)
 
-    def embed_point(self, q) -> np.ndarray:
-        """``embed`` for one point: (n_intrinsic,) -> (n_x,).
+    def embed_point(self, q) -> list:
+        """``embed`` for one point: (n_intrinsic,) -> a list of n_x floats.
 
-        Rollouts call this once per step, so it works on Python floats with
-        ``math.cos`` / ``math.sin``, bitwise equal to ``embed``; an infinite
-        angle raises ValueError where ``embed`` gives NaN.
+        Rollouts call this once per step and hand the result to the stage
+        cost and the policy, so it works on Python floats with ``math.cos`` /
+        ``math.sin``, bitwise equal to ``embed``, and returns them as a list.
+        ``q`` may be an array row of any real dtype, a list or a tuple; a
+        float64 row costs one ``tolist()``.  A wrong length or a nested
+        input is a ValueError, and so is an infinite angle, where ``embed``
+        gives NaN.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.n_intrinsic,):
             raise ValueError(f"expected ({self.n_intrinsic},) coordinates, got {q.shape}")
         q = q.tolist()
-        out, start = [], 0
-        for d in self.angle_dims:
-            out += q[start:d]
-            out += (math.cos(q[d]), math.sin(q[d]))
-            start = d + 1
-        out += q[start:]
-        return np.array(out)
+        # the last angle first, so that the indices of the others still hold
+        for d in reversed(self.angle_dims):
+            theta = q[d]
+            q[d:d + 1] = math.cos(theta), math.sin(theta)
+        return q
 
     def states(self) -> np.ndarray:
         return self.embed(self.grid_points())
@@ -294,7 +298,8 @@ def simulate_closed_loop(
 
     The policy gets the state as an array every ``control_interval`` steps
     and its input is held constant in between (zero-order hold); inputs are
-    clipped to the system's box before use and recorded post-clipping.
+    clipped to the system's box before use, on floats as ``np.clip`` would,
+    and recorded post-clipping.
     Returns (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).
     A state that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
     DivergenceError with the step that produced it; a start ``x0`` that is
@@ -325,15 +330,22 @@ def simulate_closed_loop(
     drift, input_map, blowup_norm = system.drift, system.input_map, BLOWUP_NORM
     n_x, n_u = system.n_x, system.n_u
     channels = range(n_u)
+    box = list(zip(system.u_min.tolist(), system.u_max.tolist()))
 
     x = x.tolist()
     states, inputs = [x], []
     for k in range(steps):
         if k % control_interval == 0:
-            u = np.atleast_1d(np.asarray(policy(np.array(x)), dtype=float))
-            if u.shape != (n_u,):
-                raise ValueError(f"policy returned shape {u.shape}, expected ({n_u},)")
-            u = np.clip(u, system.u_min, system.u_max).tolist()
+            out = np.atleast_1d(np.asarray(policy(np.array(x)), dtype=float))
+            if out.shape != (n_u,):
+                raise ValueError(f"policy returned shape {out.shape}, expected ({n_u},)")
+            # np.clip(out, u_min, u_max) on floats, bit for bit: a value equal
+            # to a bound becomes the bound, which settles the sign of a zero,
+            # and NaN passes through
+            u = []
+            for v, (lo, hi) in zip(out.tolist(), box):
+                v = lo if v <= lo else v
+                u.append(hi if v >= hi else v)
         inputs.append(u)
         f, G = drift(x), input_map(x)
         if k == 0:

@@ -53,7 +53,10 @@ class GeneratorModel:
     ``B_hat[j]`` is the correction per unit input channel and ``KB_hat[j]``
     its product K B_hat[j] with the Gram matrix.  ``q_coeff`` holds the
     coefficients of the stage cost's kernel interpolant.  ``kgamma_cho``
-    holds the Cholesky factorization of K + N gamma I for downstream solves.
+    holds the Cholesky factorization of K + N gamma I for the solves with
+    K_gamma.  ``fit`` hands over the factor it used; a loaded model starts
+    with None, and ``solve_regularized`` builds it on first use: the HJB
+    solve and the policy never need it.
     """
 
     kernel: KernelSpec
@@ -61,11 +64,11 @@ class GeneratorModel:
     gamma: float
     epsilon: float
     K: np.ndarray
-    kgamma_cho: tuple
     A_target: np.ndarray
     B_hat: np.ndarray
     KB_hat: np.ndarray
     q_coeff: np.ndarray
+    kgamma_cho: tuple | None = None
 
     @property
     def n_points(self) -> int:
@@ -122,7 +125,10 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
 
 
 def solve_regularized(model: GeneratorModel, rhs: np.ndarray) -> np.ndarray:
-    """Solve K_gamma z = rhs with the stored factorization."""
+    """Solve K_gamma z = rhs with the model's Cholesky factorization, built
+    and kept on first use."""
+    if model.kgamma_cho is None:
+        model.kgamma_cho = _factor_kgamma(model.K, model.gamma)
     return scipy.linalg.cho_solve(model.kgamma_cho, rhs)
 
 
@@ -138,7 +144,7 @@ def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
     h_coeff = np.asarray(h_coeff, dtype=float)
     if h_coeff.shape != (model.n_points,):
         raise ValueError(f"h_coeff must have shape ({model.n_points},)")
-    coeff = scipy.linalg.cho_solve(model.kgamma_cho, model.A_target @ h_coeff)
+    coeff = solve_regularized(model, model.A_target @ h_coeff)
     for j in range(model.n_u):
         if u[j] != 0.0:
             coeff += u[j] * (model.B_hat[j] @ h_coeff)
@@ -153,7 +159,7 @@ def min_eig_estimate(model: GeneratorModel) -> float:
     v /= np.linalg.norm(v)
     lam_inv = 0.0
     for _ in range(30):
-        w = scipy.linalg.cho_solve(model.kgamma_cho, v)
+        w = solve_regularized(model, v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             break
@@ -167,8 +173,8 @@ def min_eig_estimate(model: GeneratorModel) -> float:
 def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> None:
     """Serialize a fitted model to a byte-stable .npz archive.
 
-    The Gram matrix and its factorization are rebuilt on load, so only the
-    data points and operator blocks are stored.
+    The Gram matrix is rebuilt on load, and its factorization on first use,
+    so only the data points and operator blocks are stored.
     """
     meta = {
         "kind": "generator-model",
@@ -205,10 +211,8 @@ def load_model(path):
     B_hat = require_array(arrays, "B_hat", (None, N, N), path)
     blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
         ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q_coeff", (N,)))}
-    K = kernels.gram_matrix(kernel, X)
-    cho = _factor_kgamma(K, gamma)
     model = GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,
-        kgamma_cho=cho, B_hat=B_hat, **blocks,
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
+        K=kernels.gram_matrix(kernel, X), B_hat=B_hat, **blocks,
     )
     return model, meta

@@ -64,9 +64,13 @@ def u_star(p: ControlPenalty, lam) -> np.ndarray:
     """Minimizer of r(u) + <lam, u> over the box.
 
     ``lam`` may carry leading batch axes; the box is applied per channel.
+    ``np.minimum`` and ``np.maximum`` are ``np.clip`` without its Python
+    wrapper.  In this argument order a value equal to a bound stays as it
+    is, so a signed zero keeps its sign; that is ``np.clip``'s own result
+    on batches of one channel, what the HJB step passes.
     """
     lam = _lam(p, lam)
-    return np.clip(-lam / (2.0 * p.weights), p.u_min, p.u_max)
+    return np.minimum(p.u_max, np.maximum(p.u_min, -lam / (2.0 * p.weights)))
 
 
 def dual_value(p: ControlPenalty, lam):

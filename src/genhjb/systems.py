@@ -7,13 +7,14 @@ the stage cost means swinging up.
 
 The plant closures take one state as a sequence of n_x Python floats and
 return plain lists (the contract of ``ControlAffineSystem``); the stage costs
-take one embedded state of shape (n_x,).  The mechanical ones compute on
-Python floats with ``math.sin`` / ``math.cos``: a rollout calls them once
-per simulator step, and on a handful of floats numpy's per-call overhead
-costs more than the arithmetic.  The IEEE operations and their order are
-those of the array formulas, so the results are bitwise the same.  Plants
-that step many states at once belong to ROADMAP item 5's cross-rollout
-batching.
+take one embedded state as any sequence of n_x floats, a list (what
+``StateGridSpec.embed_point`` returns) or an array row.  The mechanical
+ones compute on Python floats with ``math.sin`` / ``math.cos``: a rollout
+calls them once per simulator step, and on a handful of floats numpy's
+per-call overhead costs more than the arithmetic.  The IEEE operations and
+their order are those of the array formulas, so the results are bitwise
+the same.  Plants that step many states at once belong to ROADMAP item 5's
+cross-rollout batching.
 """
 from __future__ import annotations
 
@@ -27,6 +28,12 @@ import scipy.linalg
 from .dynamics import ControlAffineSystem, StateGridSpec
 from .errors import ConfigError
 from .penalty import ControlPenalty, symmetric_box_penalty
+
+
+def _floats(x):
+    """One state as Python floats: an array row goes through ``tolist()``,
+    a list or tuple passes as it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 def _plant(name, n_x, drift, input_map, u_max, epsilon) -> ControlAffineSystem:
@@ -92,7 +99,7 @@ def pendulum_stage_cost(q_sin: float = 30.0, q_cos: float = 30.0,
                         q_omega: float = 1.0) -> Callable:
     """q(x) = q_sin s^2 + q_cos (c - 1)^2 + q_omega omega^2; zero only upright at rest."""
     def cost(x):
-        c, s, w = x.tolist()
+        c, s, w = _floats(x)
         return q_sin * s**2 + q_cos * (c - 1.0) ** 2 + q_omega * w**2
     return cost
 
@@ -184,7 +191,7 @@ def cartpole_stage_cost(q_tip: float = 10.0, q_upright: float = 100.0,
     ql2 = q_upright * length**2
 
     def cost(x):
-        p, v, c, s, w = x.tolist()
+        p, v, c, s, w = _floats(x)
         return q_tip * (p - length * s) ** 2 + ql2 * (c - 1.0) ** 2 \
             + q_cart_vel * v**2 + q_omega * w**2
     return cost
@@ -228,6 +235,10 @@ class Benchmark:
     (theta, omega) form; otherwise it is `system` itself.  Policies and
     stage costs always act on embedded states, so rollouts of `sim_system`
     go through `grid.embed` / `grid.embed_point` first.
+
+    `stage_cost` takes one embedded state as any sequence of n_x floats: the
+    list that `grid.embed_point` returns or an array row, with the same
+    bits either way.  It returns a float.
 
     `linear` holds (A, B, Q) for the linear plants, whose stage cost is
     x'Qx; it is None for the others.
@@ -279,7 +290,7 @@ def _linear_1d_benchmark(system_params, cost_params):
 
 def _linear_2d_benchmark(system_params, cost_params):
     return _linear_benchmark(linear_2d_system(**system_params), (30, 30), cost_params, 1.0,
-                             lambda q: lambda x: q * float(x @ x))
+                             lambda q: lambda x: q * float(np.dot(x, x)))
 
 
 def _pendulum_benchmark(system_params, cost_params):

@@ -4,6 +4,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -104,6 +105,47 @@ def test_eval_cost_bench(pipeline, capsys):
     costs = (pipeline["out"] / "costs.csv").read_text().splitlines()
     assert costs[1] == "rollout,cost"
     assert len(costs) == 4
+
+
+@pytest.fixture(scope="module")
+def pipeline_2d(tmp_path_factory):
+    """A linear-2d experiment through gen-data, fit and solve: the one CLI
+    rollout whose stage cost takes more than one coordinate."""
+    root = tmp_path_factory.mktemp("cli2d")
+    doc = _config(root / "out", system={"name": "linear-2d", "epsilon": 0.01},
+                  cost={"params": {"q_weight": 1.0, "r_weight": 0.5}},
+                  grid={"bounds": [[-2.0, 2.0], [-2.0, 2.0]], "counts": [10, 10]},
+                  kernel={"family": "squared-exponential", "sigma": 3.0})
+    doc["eval"]["rollout"]["x0"] = [1.0, -0.5]
+    doc["eval"]["cost-bench"].update(init_lo=[-1.0, -1.0], init_hi=[1.0, 1.0])
+    cfg = _write(root / "config.yaml", doc)
+    for cmd in ("gen-data", "fit", "solve"):
+        assert cli.main([cmd, "--config", cfg]) == 0
+    return {"root": root, "cfg": cfg, "out": root / "out"}
+
+
+def test_eval_rollout_linear_2d(pipeline_2d, capsys):
+    assert cli.main(["eval", "--mode", "rollout", "--config", pipeline_2d["cfg"]]) == 0
+    printed = float(re.search(r"rollout cost=(\S+)", capsys.readouterr().out)[1])
+    rows = np.loadtxt(pipeline_2d["out"] / "rollout.csv", delimiter=",", skiprows=2)
+    lines = (pipeline_2d["out"] / "rollout.csv").read_text().splitlines()
+    assert lines[1] == "t,x_1,x_2,u_1"
+    assert rows.shape == (500, 4) and rows[0, 1:3].tolist() == [1.0, -0.5]
+    # x'x + u^2 / 2 at the left end of each of the 500 steps of 1 ms; the CSV
+    # drops the last state, which the sum never reads
+    x, u = rows[:, 1:3], rows[:, 3]
+    assert printed == pytest.approx(1e-3 * np.sum((x * x).sum(axis=1) + 0.5 * u**2),
+                                    rel=1e-5)
+
+
+def test_eval_cost_bench_linear_2d(pipeline_2d, capsys):
+    assert cli.main(["eval", "--mode", "cost-bench", "--config", pipeline_2d["cfg"]]) == 0
+    assert "cost mean=" in capsys.readouterr().out
+    doc = json.loads((pipeline_2d["out"] / "summary.json").read_text())
+    assert doc["mode"] == "cost-bench" and doc["n_excluded"] == 0
+    # the double integrator drifts off under zero input; the feedback does not
+    assert 0.0 < doc["mean"] < doc["baseline_mean"]
+    assert len((pipeline_2d["out"] / "costs.csv").read_text().splitlines()) == 4
 
 
 def test_eval_sweep(pipeline, capsys):

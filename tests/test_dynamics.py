@@ -562,6 +562,147 @@ def test_embed_point_matches_batch_embed(angle_dims, q):
     assert np.array_equal(grid.embed_point(q), grid.embed(q[None])[0])
 
 
+@pytest.mark.parametrize("q", [
+    np.array([0.5, -1.0, 2.0]), np.array([1, -2, 3]), np.array([1, -2, 3], dtype=np.int32),
+    np.array([0.5, -1.0, 2.0], dtype=np.float32), [0.5, -1.0, 2.0], (1, -2.0, 3.0),
+], ids=["float-row", "int-row", "int32-row", "float32-row", "list", "tuple"])
+def test_embed_point_returns_floats(q):
+    grid = StateGridSpec(bounds=((-1.0, 1.0),) * 3, counts=(2, 2, 2), angle_dims=(1,))
+    got = grid.embed_point(q)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array_equal(got, grid.embed(np.asarray(q, dtype=float)[None])[0])
+
+
+@pytest.mark.parametrize("q", [
+    [0.5, -1.0], [0.5, -1.0, 2.0, 0.0], np.zeros(4), [[0.5, -1.0, 2.0]],
+    np.zeros((1, 3)), np.zeros((3, 1)), 0.5, [0.5, [1.0], 2.0],
+], ids=["short", "long", "long-row", "nested", "2d-row", "2d-column", "scalar", "ragged"])
+def test_embed_point_rejects_a_misshapen_point(q):
+    grid = StateGridSpec(bounds=((-1.0, 1.0),) * 3, counts=(2, 2, 2), angle_dims=(1,))
+    with pytest.raises(ValueError):
+        grid.embed_point(q)
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf])
+def test_embed_point_rejects_an_infinite_angle(theta):
+    grid = StateGridSpec(bounds=((-1.0, 1.0),) * 2, counts=(2, 2), angle_dims=(0,))
+    with pytest.raises(ValueError):
+        grid.embed_point([theta, 0.0])
+    # a non-angle coordinate passes through
+    assert grid.embed_point([0.0, theta]) == [1.0, 0.0, theta]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["pendulum", "cartpole", "linear-1d", "linear-2d"]),
+       data=st.data())
+def test_stage_costs_take_rows_and_lists_alike(name, data):
+    # rollouts hand the stage cost embed_point's list; accumulated_cost and the
+    # datasets hand it array rows
+    bench = make_benchmark(name)
+    row = data.draw(hnp.arrays(float, bench.system.n_x, elements=st.floats(-1e3, 1e3)))
+    from_row, from_list = bench.stage_cost(row), bench.stage_cost(row.tolist())
+    assert type(from_list) is float
+    assert np.array_equal(np.float64(from_row), np.float64(from_list))
+    assert math.copysign(1.0, from_row) == math.copysign(1.0, from_list)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=hnp.arrays(float, 2, elements=st.floats(-1e150, 1e150)))
+def test_linear_2d_cost_is_the_bits_of_the_row_formula(x):
+    # q x'x, as q * float(x @ x) computes it on an array row
+    cost = make_benchmark("linear-2d", cost_params={"q_weight": 1.7}).stage_cost
+    assert cost(x) == 1.7 * float(x @ x)
+    assert cost(x.tolist()) == 1.7 * float(x @ x)
+
+
+@pytest.mark.parametrize("policy", [
+    lambda x: 0.25, lambda x: np.float64(0.25), lambda x: [0.25], lambda x: (0.25,),
+    lambda x: np.array(0.25), lambda x: np.array([0.25], dtype=np.float32),
+], ids=["float", "numpy-scalar", "list", "tuple", "0d-array", "float32-array"])
+def test_policy_outputs_other_than_a_float_row(policy):
+    sys_ = linear_1d_system(epsilon=0.0)
+    want_states, want_inputs = simulate_closed_loop(
+        sys_, lambda x: np.array([0.25]), [1.0], dt=0.01, steps=20, noise=False)
+    states, inputs = simulate_closed_loop(sys_, policy, [1.0], dt=0.01, steps=20,
+                                          noise=False)
+    assert np.array_equal(states, want_states) and np.array_equal(inputs, want_inputs)
+
+
+def test_integer_policy_output_is_clipped_as_floats():
+    sys_ = linear_1d_system(u_max=1.5, epsilon=0.0)
+    _, inputs = simulate_closed_loop(sys_, lambda x: np.array([3]), [0.0], dt=0.01,
+                                     steps=2, noise=False)
+    assert inputs.dtype == float and inputs.tolist() == [[1.5], [1.5]]
+
+
+@pytest.mark.parametrize("out", [np.zeros(2), [0.0, 0.0], np.zeros((1, 1)), []],
+                         ids=["long-row", "long-list", "2d", "empty"])
+def test_policy_output_of_the_wrong_shape_is_rejected(out):
+    with pytest.raises(ValueError, match=r"^policy returned shape"):
+        simulate_closed_loop(linear_1d_system(), lambda x: out, [1.0], dt=0.01, steps=3)
+
+
+@pytest.mark.parametrize("out", [np.nan, -np.inf, np.inf])
+def test_nonfinite_policy_output_diverges_at_step_0(out):
+    # NaN passes the clamp; +-inf saturates, so only a box that lets it through
+    # drives the state to infinity
+    sys_ = ControlAffineSystem(name="free", n_x=1, n_u=1, drift=lambda x: [0.0],
+                               input_map=lambda x: [[1.0]], u_min=[-np.inf],
+                               u_max=[np.inf], epsilon=0.0)
+    with pytest.raises(DivergenceError) as exc:
+        simulate_closed_loop(sys_, lambda x: np.array([out]), [0.0], dt=0.01, steps=5,
+                             noise=False)
+    assert exc.value.step == 0
+
+
+def test_nan_control_bound_is_rejected():
+    for lo, hi in (([np.nan], [1.0]), ([-1.0], [np.nan])):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            ControlAffineSystem(name="nan-box", n_x=1, n_u=1, drift=lambda x: [0.0],
+                                input_map=lambda x: [[1.0]], u_min=lo, u_max=hi,
+                                epsilon=0.0)
+
+
+_EDGES = [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(st.sampled_from(_EDGES + [np.nan]), st.floats(allow_nan=True)),
+       box=st.tuples(st.sampled_from(_EDGES[:4] + [-np.inf]),
+                     st.sampled_from(_EDGES[:4] + [np.inf])).filter(lambda b: b[0] <= b[1]))
+def test_rollout_clamp_is_np_clip_bit_for_bit(v, box):
+    # the zero input map keeps every input out of the state, so a NaN or
+    # infinite input is recorded instead of diverging
+    lo, hi = (np.array([b]) for b in box)
+    sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1, drift=lambda x: [0.0],
+                               input_map=lambda x: [[0.0]], u_min=lo, u_max=hi,
+                               epsilon=0.0)
+    out = np.array([v])
+    if not np.isfinite(np.clip(out, lo, hi)[0]):
+        with pytest.raises(DivergenceError):   # 0 * +-inf or NaN reaches the state
+            simulate_closed_loop(sys_, lambda x: out, [1.0], dt=0.1, steps=1,
+                                 noise=False)
+        return
+    _, inputs = simulate_closed_loop(sys_, lambda x: out, [1.0], dt=0.1, steps=1,
+                                     noise=False)
+    assert inputs[0].view(np.uint64) == np.clip(out, lo, hi).view(np.uint64)
+
+
+def test_rollout_clamp_settles_signed_zeros_as_np_clip_does():
+    # a value equal to a bound becomes the bound
+    for v, lo, hi, want in ((-0.0, 0.0, 1.5, 0.0), (0.0, -0.0, 0.0, 0.0),
+                            (0.0, -1.5, -0.0, -0.0), (-0.0, -0.0, -0.0, -0.0),
+                            (-2.0, -0.0, 0.0, 0.0), (-0.0, -1.5, 1.5, -0.0)):
+        sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1, drift=lambda x: [0.0],
+                                   input_map=lambda x: [[0.0]], u_min=[lo], u_max=[hi],
+                                   epsilon=0.0)
+        _, inputs = simulate_closed_loop(sys_, lambda x: np.array([v]), [1.0], dt=0.1,
+                                         steps=1, noise=False)
+        clip = np.clip(np.array([v]), np.array([lo]), np.array([hi]))
+        assert inputs[0].view(np.uint64) == clip.view(np.uint64)
+        assert math.copysign(1.0, inputs[0, 0]) == math.copysign(1.0, want)
+
+
 def _pendulum_euler(x, u, dt):
     """One Euler step of the physical pendulum at the default constants,
     J w' = u - b w + m g lc sin t, written with numpy arrays."""

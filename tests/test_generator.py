@@ -272,6 +272,38 @@ def test_reloaded_model_solves_to_the_same_bits(tmp_path):
     np.testing.assert_array_equal(b.bv0, a.bv0)
 
 
+def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
+    # neither the HJB solve nor the policy needs the Cholesky factor, so a
+    # loaded model builds it only when a solve with K_gamma asks for it
+    from genhjb import generator
+    from genhjb.hjb import HjbConfig, policy_at, solve_fvp
+    from genhjb.penalty import symmetric_box_penalty
+    model = fit(_linear_dataset(n=60), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    pen = symmetric_box_penalty([0.5], 5.0)
+    cfg = HjbConfig(dt=0.02, horizon_steps=50)
+    want = solve_fvp(model, pen, cfg)
+
+    factor = generator._factor_kgamma
+    def refuse(*args):
+        raise AssertionError("K_gamma was factored")
+    monkeypatch.setattr(generator, "_factor_kgamma", refuse)
+    back, _ = load_model(tmp_path / "m.npz")
+    got = solve_fvp(back, pen, cfg)
+    assert np.array_equal(got.v0, want.v0) and np.array_equal(got.bv0, want.bv0)
+    assert np.array_equal(policy_at(got, pen, [0.3]), policy_at(want, pen, [0.3]))
+    assert back.kgamma_cho is None
+
+    monkeypatch.setattr(generator, "_factor_kgamma", factor)
+    rhs = np.linspace(-1.0, 1.0, 60)
+    assert np.array_equal(solve_regularized(back, rhs), solve_regularized(model, rhs))
+    cho = back.kgamma_cho
+    assert generator_apply(back, [1.0], want.v0, [0.3]) \
+        == generator_apply(model, [1.0], want.v0, [0.3])
+    assert min_eig_estimate(back) == min_eig_estimate(model)
+    assert back.kgamma_cho is cho     # built once, then kept
+
+
 def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):
     # archives written while the smoothed Laplace surrogate was configurable
     # carry its radius and ratio; they are ignored on load

@@ -1,6 +1,9 @@
 """Box-constrained quadratic control penalty: minimizer and dual."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genhjb.penalty import (ControlPenalty, dual_value, penalty_value,
                             symmetric_box_penalty, u_star)
@@ -95,3 +98,57 @@ def test_asymmetric_box_clipping():
     p = ControlPenalty(weights=[1.0], u_min=[-0.25], u_max=[2.0])
     assert u_star(p, [10.0]) == pytest.approx([-0.25])
     assert u_star(p, [-10.0]) == pytest.approx([2.0])
+
+
+_ZEROS_AND_EDGES = [0.0, -0.0, 3.0, -3.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+
+
+def _box(lo, hi):
+    return ControlPenalty(weights=[0.5], u_min=[lo], u_max=[hi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=hnp.arrays(float, st.tuples(st.integers(2, 40), st.just(1)),
+                      elements=st.one_of(st.sampled_from(_ZEROS_AND_EDGES),
+                                         st.floats(allow_nan=True))),
+       box=st.tuples(st.sampled_from([-1.5, -0.0, 0.0]), st.sampled_from([1.5, 0.0, -0.0])))
+def test_u_star_is_np_clip_bit_for_bit_on_batches(lam, box):
+    # the batches the HJB step and policy_on pass: (M, 1) against (1,) bounds,
+    # signed zeros, NaN and infinities included
+    p = _box(*box)
+    want = np.clip(-lam / (2.0 * p.weights), p.u_min, p.u_max)
+    assert np.array_equal(u_star(p, lam).view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=hnp.arrays(float, st.sampled_from([(1,), (1, 1), (5, 1)]),
+                      elements=st.one_of(st.sampled_from(_ZEROS_AND_EDGES),
+                                         st.floats(allow_nan=True))),
+       box=st.tuples(st.sampled_from([-1.5, -0.0, 0.0]), st.sampled_from([1.5, 0.0, -0.0])))
+def test_u_star_keeps_a_value_equal_to_a_bound(lam, box):
+    # one point gets the bits of its row in a batch, signed zeros included;
+    # np.clip's loop for unbroadcast bounds gives a tie the bound's sign, so
+    # a single query could differ from a batched one there
+    p = _box(*box)
+    got = u_star(p, lam)
+    for v, u in zip((-lam / 1.0).ravel().tolist(), got.ravel().tolist()):
+        t = box[0] if v < box[0] else v
+        want = box[1] if t > box[1] else t
+        assert np.array_equal(np.float64(u).view(np.uint64), np.float64(want).view(np.uint64))
+    if lam.shape == (1,):
+        assert np.array_equal(got.view(np.uint64),
+                              u_star(p, np.vstack([lam, lam]))[0].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=hnp.arrays(float, st.sampled_from([(1,), (2,), (1, 2), (6, 2), (3, 4, 2)]),
+                      elements=st.one_of(st.sampled_from(_ZEROS_AND_EDGES),
+                                         st.floats(allow_nan=True))))
+def test_u_star_is_np_clip_bit_for_bit_off_zero_bounds(lam):
+    # where no bound is a zero, ties carry the bound's own bits, so every
+    # shape and channel count matches np.clip
+    p = ControlPenalty(weights=[0.7, 1.3], u_min=[-2.0, -0.5], u_max=[1.5, 3.0])
+    if lam.shape[-1] != 2:
+        p = ControlPenalty(weights=[0.7], u_min=[-2.0], u_max=[1.5])
+    want = np.clip(-lam / (2.0 * p.weights), p.u_min, p.u_max)
+    assert np.array_equal(u_star(p, lam).view(np.uint64), want.view(np.uint64))
