@@ -20,6 +20,13 @@ B-hat_j, formed in place from the input target T_Bj after its solve.  A fit
 costs one Cholesky factor and one solve with N right-hand sides per input,
 about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
 K_gamma^{-1} (T_A h), O(N^2) per vector.
+
+Each B-hat_j is solved in place, in its own C-ordered slice: K_gamma is
+symmetric, so K_gamma B = T is B^T K_gamma = T^T, two right-side
+triangular solves on the slice's Fortran-ordered transpose with no copy of
+the target.  At its peak a fit holds K, the 1 + n_u targets, B-hat and the
+Cholesky factor, (3 + 2 n_u) N^2 doubles.  The factor is dropped when the
+fit returns, since nothing downstream of the fit needs it.
 """
 from __future__ import annotations
 
@@ -54,9 +61,9 @@ class GeneratorModel:
     its product K B_hat[j] with the Gram matrix.  ``q_coeff`` holds the
     coefficients of the stage cost's kernel interpolant.  ``kgamma_cho``
     holds the Cholesky factorization of K + N gamma I for the solves with
-    K_gamma.  ``fit`` hands over the factor it used; a loaded model starts
-    with None, and ``solve_regularized`` builds it on first use: the HJB
-    solve and the policy never need it.
+    K_gamma.  A fitted and a loaded model both start with None, and
+    ``solve_regularized`` builds it on first use: the HJB solve and the
+    policy never need it.
     """
 
     kernel: KernelSpec
@@ -111,15 +118,21 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
         kernel, X, [labels[0]] + [labels[j + 1] - labels[0] for j in range(dataset.n_u)],
         epsilon)
     cho = _factor_kgamma(K, gamma)
+    L = cho[0]
+    trsm = scipy.linalg.blas.dtrsm
     B_hat = np.empty((dataset.n_u, N, N))
     KB_hat = targets[1:]
     for j in range(dataset.n_u):
-        B_hat[j] = scipy.linalg.cho_solve(cho, KB_hat[j])
+        # B_hat_j^T = T_Bj^T L^-T L^-1 in the Fortran view of B_hat_j's slice
+        Bt = B_hat[j].T
+        Bt[...] = KB_hat[j].T
+        trsm(1.0, L, Bt, side=1, lower=1, trans_a=1, overwrite_b=1)
+        trsm(1.0, L, Bt, side=1, lower=1, overwrite_b=1)
         # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
         scipy.linalg.blas.daxpy(B_hat[j].ravel(), KB_hat[j].ravel(), a=-N * gamma)
     q_coeff = scipy.linalg.cho_solve(cho, dataset.q)
     return GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K, kgamma_cho=cho,
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,
         A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q_coeff=q_coeff,
     )
 

@@ -10,7 +10,7 @@ import yaml
 
 from genhjb import cli
 from genhjb.evaluation import run_pipeline
-from genhjb.generator import load_model
+from genhjb.generator import load_model, min_eig_estimate
 from genhjb.hjb import load_solution
 
 
@@ -73,6 +73,15 @@ def test_fit_and_solve_artifacts(pipeline):
     vp = (pipeline["out"] / "value_policy.csv").read_text().splitlines()
     assert vp[1] == "x_1,v,u_1"
     assert len(vp) == 32
+
+
+def test_fit_reports_the_reloaded_models_min_eig(pipeline, tmp_path, capsys):
+    # fit hands back no Cholesky factor, so the estimate it prints and the
+    # reloaded model's both come from a factor that _factor_kgamma rebuilds
+    out = tmp_path / "m.npz"
+    assert cli.main(["fit", "--config", pipeline["cfg"], "--model", str(out)]) == 0
+    printed = re.search(r"min_eig\(K_gamma\)~(\S+)", capsys.readouterr().out)[1]
+    assert printed == f"{min_eig_estimate(load_model(out)[0]):.3e}"
 
 
 def test_eval_rmse(pipeline, capsys):

@@ -1,7 +1,6 @@
 """Target kernel matrices and the ridge-regressed generator blocks."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from genhjb import KernelSpec, fit, generator_apply, kernels
 from genhjb.dynamics import (StateGridSpec, dataset_from_states,
@@ -113,7 +112,7 @@ def test_fit_residual_identities():
     A_hat = solve_regularized(model, model.A_target)
     assert np.linalg.norm(Kg @ A_hat - T0) <= 1e-8 * np.linalg.norm(T0)
     assert np.linalg.norm(Kg @ model.B_hat[0] - dT) <= 1e-8 * np.linalg.norm(dT)
-    qr = scipy.linalg.cho_solve(model.kgamma_cho, ds.q)
+    qr = solve_regularized(model, ds.q)
     np.testing.assert_allclose(model.q_coeff, qr, rtol=1e-12)
 
 

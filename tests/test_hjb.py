@@ -1,9 +1,11 @@
 """Backward recursion for the value coefficients, policies, serialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from genhjb import KernelSpec, fit, kernels
+from genhjb import KernelSpec, fit, hjb, kernels
 from genhjb.dynamics import StateGridSpec, generate_dataset
 from genhjb.errors import DivergenceError, StepSizeError
 from genhjb.generator import GeneratorModel
@@ -103,6 +105,12 @@ def test_step_size_error_on_inaccurate_inverse():
         solve_fvp(model, None, HjbConfig(dt=dt, horizon_steps=3))
 
 
+def test_step_size_error_on_nonfinite_step_matrix():
+    model = _toy_model(a=np.nan, q=1.0)
+    with pytest.raises(StepSizeError, match="numerically singular"):
+        solve_fvp(model, None, HjbConfig(dt=0.01, horizon_steps=10))
+
+
 def test_divergence_error_on_unstable_recursion():
     # dt * a = 1.5 puts the implicit multiplier at -2 per step
     model = _toy_model(a=150.0, q=1.0)
@@ -174,6 +182,67 @@ def test_solve_matches_dense_oracle_with_two_inputs():
     for j in range(2):
         on_box = (U[:, j] == pen.u_min[j]) | (U[:, j] == pen.u_max[j])
         assert on_box.any() and not on_box.all()
+
+
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_solve_by_small_panels_matches_dense_oracle_on_fitted_model(with_penalty,
+                                                                     monkeypatch):
+    # 60 points in four panels of 15 rows: every off-diagonal branch runs
+    monkeypatch.setattr(hjb, "PANEL_ROWS", 16)
+    assert len(hjb._panels(60)) == 4
+    test_solve_matches_dense_oracle_on_fitted_model(with_penalty)
+
+
+def test_solve_by_small_panels_matches_dense_oracle_with_two_inputs(monkeypatch):
+    monkeypatch.setattr(hjb, "PANEL_ROWS", 16)
+    assert [e - s for s, e in hjb._panels(40)] == [13, 13, 14]
+    test_solve_matches_dense_oracle_with_two_inputs()
+
+
+@pytest.mark.parametrize("N", [1] + [hjb.PANEL_ROWS + d for d in (-1, 0, 1)]
+                         + [2 * hjb.PANEL_ROWS + 3])
+def test_panel_solve_matches_lu_solve(N):
+    # N at and around the panel height, on random nonsymmetric matrices
+    # whose partial pivoting swaps rows
+    rng = np.random.default_rng(N)
+    F = rng.standard_normal((N, N))
+    lu_piv = scipy.linalg.lu_factor(F.T)
+    assert N == 1 or np.count_nonzero(lu_piv[1] != np.arange(N)) > N // 2
+    r = rng.standard_normal(N)
+    x = hjb._panel_solver(lu_piv)(r)
+    resid = np.linalg.norm(F @ x - r, np.inf) / (
+        np.linalg.norm(F, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(r, np.inf))
+    assert resid <= 10 * np.finfo(float).eps
+    want = scipy.linalg.lu_solve(lu_piv, r, trans=1)
+    assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_fit_and_solve_hold_five_n_squared_arrays_at_most():
+    # the fit peaks at K, the two targets, B-hat and the Cholesky factor,
+    # and hands the factor back to no one; the HJB setup adds F and the
+    # copies of its diagonal panel blocks, and the steps only vectors
+    sys_ = linear_1d_system(a=-1.0, epsilon=0.01)
+    grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(600,))
+    ds = generate_dataset(sys_, grid, lambda x: 1.5 * float(x[0]) ** 2)
+    N = ds.n_points
+    n2 = 8.0 * N * N
+    pen = symmetric_box_penalty([0.5], 5.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = fit(ds, SE1, 1e-6, 0.01)
+        fit_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_fvp(model, pen, HjbConfig(dt=0.02, horizon_steps=5))
+        solve_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.kgamma_cho is None
+    assert fit_peak <= 5.25 * n2
+    blocks = sum((e - s) ** 2 for s, e in hjb._panels(N))
+    assert solve_peak <= 8.0 * (N * N + blocks) + 8.0 * 64 * N
 
 
 def test_penalty_channel_mismatch_rejected():
