@@ -21,12 +21,15 @@ costs one Cholesky factor and one solve with N right-hand sides per input,
 about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
 K_gamma^{-1} (T_A h), O(N^2) per vector.
 
-Each B-hat_j is solved in place, in its own C-ordered slice: K_gamma is
-symmetric, so K_gamma B = T is B^T K_gamma = T^T, two right-side
-triangular solves on the slice's Fortran-ordered transpose with no copy of
-the target.  At its peak a fit holds K, the 1 + n_u targets, B-hat and the
-Cholesky factor, (3 + 2 n_u) N^2 doubles.  The factor is dropped when the
-fit returns, since nothing downstream of the fit needs it.
+K_gamma is factored in K's own buffer: cdist makes K bitwise symmetric,
+so its Fortran-ordered transpose is the same matrix, and LAPACK factors
+it in place.  Each B-hat_j is solved in place, in its own C-ordered slice:
+K_gamma B = T is B^T K_gamma = T^T, two right-side triangular solves on
+the slice's Fortran-ordered transpose with no copy of the target.  At its
+peak a fit holds the factor, the 1 + n_u targets and B-hat, (2 + 2 n_u)
+N^2 doubles.  The factor is dropped when the fit returns, since nothing
+downstream of the fit needs it, and the model keeps no Gram matrix: K is
+a function of the kernel and X, rebuilt where a step needs it.
 """
 from __future__ import annotations
 
@@ -63,19 +66,24 @@ class GeneratorModel:
     holds the Cholesky factorization of K + N gamma I for the solves with
     K_gamma.  A fitted and a loaded model both start with None, and
     ``solve_regularized`` builds it on first use: the HJB solve and the
-    policy never need it.
+    policy never need it.  The Gram matrix itself is not stored; ``K``
+    rebuilds it on each access.
     """
 
     kernel: KernelSpec
     X: np.ndarray
     gamma: float
     epsilon: float
-    K: np.ndarray
     A_target: np.ndarray
     B_hat: np.ndarray
     KB_hat: np.ndarray
     q_coeff: np.ndarray
     kgamma_cho: tuple | None = None
+
+    @property
+    def K(self) -> np.ndarray:
+        """The Gram matrix of X, a new array built on each access."""
+        return kernels.gram_matrix(self.kernel, self.X)
 
     @property
     def n_points(self) -> int:
@@ -87,13 +95,14 @@ class GeneratorModel:
 
 
 def _factor_kgamma(K: np.ndarray, gamma: float):
-    """Cholesky factor of K + N gamma I, built in one Fortran-ordered copy
-    of K so that LAPACK factors it in place."""
+    """Cholesky factor of K + N gamma I, built in K's own buffer, which it
+    overwrites.  K is a C-ordered Gram matrix from ``kernels``, bitwise
+    symmetric, so its Fortran-ordered transpose is the same matrix and
+    LAPACK factors that in place."""
     N = K.shape[0]
-    Kg = np.array(K, order="F")
-    Kg[np.diag_indices(N)] += N * gamma
+    K[np.diag_indices(N)] += N * gamma
     try:
-        return scipy.linalg.cho_factor(Kg, lower=True, overwrite_a=True)
+        return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"Cholesky of the regularized Gram matrix failed (N={N}, gamma={gamma}); "
@@ -130,19 +139,30 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
         trsm(1.0, L, Bt, side=1, lower=1, overwrite_b=1)
         # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
         scipy.linalg.blas.daxpy(B_hat[j].ravel(), KB_hat[j].ravel(), a=-N * gamma)
-    q_coeff = scipy.linalg.cho_solve(cho, dataset.q)
+    q_coeff = _cho_solve(cho, dataset.q)
     return GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, K=K,
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
         A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q_coeff=q_coeff,
     )
 
 
+def _cho_solve(cho, rhs) -> np.ndarray:
+    """Solve with a Cholesky factor from ``_factor_kgamma``.  Only the
+    right-hand side is checked for non-finite entries (ValueError): the
+    factor is finite once LAPACK has built it, and rescanning its N^2
+    entries on every solve would cost more than the solve's own sweeps."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+
+
 def solve_regularized(model: GeneratorModel, rhs: np.ndarray) -> np.ndarray:
     """Solve K_gamma z = rhs with the model's Cholesky factorization, built
-    and kept on first use."""
+    on first use from a fresh Gram matrix and kept."""
     if model.kgamma_cho is None:
         model.kgamma_cho = _factor_kgamma(model.K, model.gamma)
-    return scipy.linalg.cho_solve(model.kgamma_cho, rhs)
+    return _cho_solve(model.kgamma_cho, rhs)
 
 
 def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
@@ -186,8 +206,10 @@ def min_eig_estimate(model: GeneratorModel) -> float:
 def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> None:
     """Serialize a fitted model to a byte-stable .npz archive.
 
-    The Gram matrix is rebuilt on load, and its factorization on first use,
-    so only the data points and operator blocks are stored.
+    Only the data points and operator blocks are stored.  The Gram matrix
+    is a function of the kernel and the points, so neither it nor its
+    factorization is stored: the factorization is built on first use, and
+    loading builds neither.
     """
     meta = {
         "kind": "generator-model",
@@ -225,7 +247,5 @@ def load_model(path):
     blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
         ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q_coeff", (N,)))}
     model = GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
-        K=kernels.gram_matrix(kernel, X), B_hat=B_hat, **blocks,
-    )
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, B_hat=B_hat, **blocks)
     return model, meta

@@ -19,9 +19,9 @@ target T_A = K_gamma A-hat and C_j = K B-hat_j it reads
     (K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt K_gamma q + dt D_r(C w_m),
 
 so neither A-hat nor K_gamma^{-1} is ever formed.  Setup builds
-F = K + N gamma I - dt T_A in place and factors it by LU (about 2/3 N^3
-flops), then solves F c = dt K_gamma q once.  Each step advances by an
-increment,
+F = K + N gamma I - dt T_A in a freshly built Gram matrix, adding T_A by
+row blocks, and factors it there by LU (about 2/3 N^3 flops), then solves
+F c = dt K_gamma q once.  Each step advances by an increment,
 
     w_{m+1} = w_m + c + F^{-1} (dt T_A w_m + dt D_r(C w_m)),
 
@@ -38,7 +38,9 @@ panel's off-diagonal part is one matrix-vector product on a column view of
 the LU array, which BLAS runs on every thread, and only its diagonal block
 goes through a (single-threaded) triangular solve, on a copy made once at
 setup.  So a step costs about as much as 2 + n_u products.  Setup holds F
-and the diagonal blocks, N^2 (1 + 1 / panels) doubles, on top of the model.
+and the diagonal blocks, N^2 (1 + 1 / panels) doubles, on top of the model
+(T_A, B-hat and K B-hat, (1 + 2 n_u) N^2); what else it builds, it builds
+by ``kernels.row_blocks``.
 """
 from __future__ import annotations
 
@@ -86,16 +88,27 @@ class HjbSolution:
     bv0: np.ndarray
 
 
-def _step_factor(model: GeneratorModel, dt: float):
-    """LU factors of F = K + N gamma I - dt T_A, built in place in one array.
+def _gram_product(model: GeneratorModel, c) -> np.ndarray:
+    """K c from row blocks of the Gram matrix, one block alive at a time."""
+    k, X = model.kernel, model.X
+    return np.concatenate([kernels.cross_kernel_matrix(k, X[b], X) @ c
+                           for b in kernels.row_blocks(model.n_points)])
 
+
+def _step_factor(model: GeneratorModel, dt: float):
+    """LU factors of F = K + N gamma I - dt T_A, and K q.
+
+    F is built in a fresh Gram matrix, and K q is taken from it before
+    -dt T_A is added by row blocks (the same bits as adding K to -dt T_A).
     The array is C-ordered, so LAPACK factors its transpose F^T in place.
     Raises StepSizeError when a pivot is numerically zero or not finite
     (a non-finite F leaves a NaN pivot).
     """
     N = model.n_points
-    F = np.multiply(model.A_target, -dt)
-    F += model.K
+    F = model.K
+    kq = F @ model.q_coeff
+    for b in kernels.row_blocks(N):
+        F[b] += np.multiply(model.A_target[b], -dt)
     F[np.diag_indices(N)] += N * model.gamma
     with warnings.catch_warnings():
         # an exactly singular factor is detected below and reported as
@@ -107,7 +120,7 @@ def _step_factor(model: GeneratorModel, dt: float):
         raise StepSizeError(
             f"K_gamma - dt T_A is numerically singular for dt={dt}; reduce the step"
         )
-    return lu_piv
+    return lu_piv, kq
 
 
 def _panels(N: int) -> list:
@@ -162,17 +175,17 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
         raise ValueError(f"penalty has {pen.n_u} channels, model has {model.n_u}")
     dt = config.dt
     ng = model.n_points * model.gamma
-    solve_step = _panel_solver(_step_factor(model, dt))
+    lu_piv, dkq = _step_factor(model, dt)
+    solve_step = _panel_solver(lu_piv)
 
     # c = dt (I - dt A-hat)^{-1} q solves F c = dt K_gamma q.  One step of
     # iterative refinement checks the solve: its correction estimates the
     # error of c and must stay within 1e-6 of c (1e-12 to 1.5e-9 on the
     # benchmarks), which an F too ill-conditioned to solve with fails
-    dkq = model.K @ model.q_coeff
     dkq += ng * model.q_coeff
     dkq *= dt
     c = solve_step(dkq)
-    kc = model.K @ c
+    kc = _gram_product(model, c)
     kc += ng * c
     fix = solve_step(dkq - (kc - dt * (model.A_target @ c)))
     c += fix

@@ -37,6 +37,10 @@ FAMILIES = (SQUARED_EXPONENTIAL, SMOOTHED_LAPLACE)
 # the smoothed Laplace surrogate: its radius and sigma over its lengthscale
 SMOOTHING_RADIUS = 1e-8
 SMOOTHING_RATIO = 100.0
+# rows per block of the passes that sweep an N x N kernel array by rows
+# (the generator targets here, the HJB step matrix's setup in hjb), so
+# that their temporaries stay O(N)
+BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,11 @@ def cross_kernel_vector(k: KernelSpec, X, x) -> np.ndarray:
     return cross_kernel_matrix(k, x[None, :], X)[0]
 
 
+def row_blocks(N: int) -> list:
+    """Row slices of at most BLOCK_ROWS rows that cover range(N) in order."""
+    return [slice(s, s + BLOCK_ROWS) for s in range(0, N, BLOCK_ROWS)]
+
+
 def _gram_and_targets(k: KernelSpec, X, fields, epsilon: float):
     """Gram matrix of X and one generator target per drift field.
 
@@ -194,11 +203,15 @@ def _gram_and_targets(k: KernelSpec, X, fields, epsilon: float):
     field f: entry (i, j) is <F[i], grad_x1 k(X[i], X[j])> plus, for the
     first field only, epsilon tr hess_x1 k(X[i], X[j]).  All of them come
     from one distance pass and one kernel evaluation, and each is built in
-    its own slice.  A non-finite target entry raises NumericalDomainError.
+    its own slice from one product F X^T.  The terms and the finiteness
+    test run by ``row_blocks``, so their temporaries stay O(N) beside D, K
+    and the targets.  A non-finite target entry raises
+    NumericalDomainError.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     X = _check_points(X)
+    N, n = X.shape
     D = _distances(k, X, X)
     K = _value(k, D)
     targets = np.empty((len(fields),) + K.shape)
@@ -208,14 +221,19 @@ def _gram_and_targets(k: KernelSpec, X, fields, epsilon: float):
             raise ValueError(f"field shape {F.shape} does not match points {X.shape}")
         # bad labels surface as the error below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            # <F_i, x_i - x_j> for all pairs, without forming the (N, N, n) tensor
             M = np.matmul(F, X.T, out=targets[f])
-            np.subtract(np.einsum("ij,ij->i", F, X)[:, None], M, out=M)
-            T = _generator_terms(k, D, K, M, 0.0 if f else epsilon, X.shape[1])
-        if not np.all(np.isfinite(T)):
-            i, j = np.argwhere(~np.isfinite(T))[0]
-            raise NumericalDomainError(
-                f"non-finite target matrix entry at ({i}, {j})", where=(int(i), int(j)))
+            FX = np.einsum("ij,ij->i", F, X)[:, None]
+            for rows in row_blocks(N):
+                # <F_i, x_i - x_j> for the block's pairs, without forming
+                # the (N, N, n) tensor
+                T = np.subtract(FX[rows], M[rows], out=M[rows])
+                _generator_terms(k, D[rows], K[rows], T, 0.0 if f else epsilon, n)
+                if not np.all(np.isfinite(T)):
+                    i, j = np.argwhere(~np.isfinite(T))[0]
+                    i += rows.start
+                    raise NumericalDomainError(
+                        f"non-finite target matrix entry at ({i}, {j})",
+                        where=(int(i), int(j)))
     return K, targets
 
 

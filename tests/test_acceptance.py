@@ -226,7 +226,6 @@ def test_criterion_7_module_invariant_spot_checks(tmp_path):
     from genhjb.generator import GeneratorModel
     toy = GeneratorModel(
         kernel=k1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
-        K=np.array([[1.0]]),
         kgamma_cho=scipy.linalg.cho_factor(np.array([[2.0]]), lower=True),
         A_target=np.array([[-1.0]]), B_hat=np.array([[[2.0]]]),
         KB_hat=np.array([[[2.0]]]), q_coeff=np.array([1.0]),

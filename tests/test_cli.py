@@ -84,6 +84,17 @@ def test_fit_reports_the_reloaded_models_min_eig(pipeline, tmp_path, capsys):
     assert printed == f"{min_eig_estimate(load_model(out)[0]):.3e}"
 
 
+def test_fit_prints_the_pinned_min_eig(pipeline, tmp_path, capsys):
+    # the solves behind the estimate check only their right-hand side, and
+    # the factor is built in the Gram matrix's own buffer; neither moves the
+    # estimate, recorded here from the code that scanned the factor and
+    # factored a copy of a stored Gram matrix
+    out = tmp_path / "m.npz"
+    assert cli.main(["fit", "--config", pipeline["cfg"], "--model", str(out)]) == 0
+    assert "min_eig(K_gamma)~3.002e-07" in capsys.readouterr().out
+    assert min_eig_estimate(load_model(out)[0]) == 3.002391517243327e-07
+
+
 def test_eval_rmse(pipeline, capsys):
     assert cli.main(["eval", "--mode", "rmse", "--config", pipeline["cfg"]]) == 0
     assert "rmse=" in capsys.readouterr().out

@@ -1,8 +1,12 @@
 """Target kernel matrices and the ridge-regressed generator blocks."""
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from genhjb import KernelSpec, fit, generator_apply, kernels
+from genhjb import KernelSpec, fit, generator, generator_apply, kernels
 from genhjb.dynamics import (StateGridSpec, dataset_from_states,
                              generate_dataset)
 from genhjb.errors import ConditioningError, NumericalDomainError
@@ -301,6 +305,81 @@ def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
         == generator_apply(model, [1.0], want.v0, [0.3])
     assert min_eig_estimate(back) == min_eig_estimate(model)
     assert back.kgamma_cho is cho     # built once, then kept
+
+
+def test_load_model_builds_no_gram_matrix(tmp_path, monkeypatch):
+    # the archive holds every array the model keeps, and the model keeps no
+    # Gram matrix, so loading computes no distances at all
+    model = fit(_linear_dataset(n=30), SE1, 1e-6, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    def refuse(*args, **kwargs):
+        raise AssertionError("cdist was called")
+    monkeypatch.setattr(kernels, "cdist", refuse)
+    back, _ = load_model(tmp_path / "m.npz")
+    for name in ("X", "A_target", "B_hat", "KB_hat", "q_coeff"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
+
+
+def test_model_gram_matrix_is_rebuilt_on_each_access():
+    model = fit(_linear_dataset(n=30), SE1, 1e-6, 0.01)
+    K = model.K
+    np.testing.assert_array_equal(K, kernels.gram_matrix(SE1, model.X))
+    K[0, 0] = 5.0               # a caller's copy; the model holds none
+    assert model.K[0, 0] == 1.0 and model.K is not model.K
+    with pytest.raises(AttributeError):
+        model.K = K
+
+
+def test_solve_regularized_rejects_a_nonfinite_right_hand_side():
+    # only the right-hand side is scanned; the factor is left intact
+    model = fit(_linear_dataset(n=30), SE1, 1e-6, 0.01)
+    rhs = np.linspace(-1.0, 1.0, 30)
+    want = solve_regularized(model, rhs)
+    for bad in (np.nan, np.inf):
+        for shape in ((30,), (30, 2)):
+            z = np.zeros(shape)
+            z.flat[7] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_regularized(model, z)
+    np.testing.assert_array_equal(solve_regularized(model, rhs), want)
+
+
+@st.composite
+def _clustered_points(draw):
+    """Up to 10 points in 1 to 4 dimensions, with exact duplicates and
+    near-coincident copies (offsets down to 1e-12) appended, in a drawn
+    order; a kernel and a ridge parameter."""
+    n_x = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 10))
+    X = draw(hnp.arrays(float, (N, n_x), elements=st.floats(-3.0, 3.0)))
+    rows = [X]
+    for i in draw(st.lists(st.integers(0, N - 1), max_size=4)):
+        rows.append(X[i:i + 1])
+    offsets = st.floats(1e-12, 1e-6) | st.floats(-1e-6, -1e-12)
+    for i, d in draw(st.lists(st.tuples(st.integers(0, N - 1), offsets), max_size=4)):
+        rows.append(X[i:i + 1] + d)
+    X = np.concatenate(rows)
+    X = X[draw(st.permutations(range(len(X))))]
+    family = draw(st.sampled_from(kernels.FAMILIES))
+    k = KernelSpec(family, draw(st.floats(0.3, 5.0)))
+    return k, X, draw(st.sampled_from([1e-3, 1e-1, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clustered_points())
+def test_gram_matrix_is_bitwise_symmetric_and_factors_in_place(case):
+    # the factor is built in K's own buffer through its transpose, which is
+    # exact only because K equals K^T bit for bit
+    k, X, gamma = case
+    K = kernels.gram_matrix(k, X)
+    assert np.array_equal(K, K.T)
+    N = len(X)
+    Kg = np.array(K, order="F")
+    Kg[np.diag_indices(N)] += N * gamma
+    want = scipy.linalg.cho_factor(Kg, lower=True, overwrite_a=True)
+    got = generator._factor_kgamma(K, gamma)
+    assert np.shares_memory(got[0], K) and got[1] == want[1]
+    assert np.array_equal(got[0], want[0])
 
 
 def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from genhjb import kernels
+from genhjb.errors import NumericalDomainError
 from genhjb.generator import target_kernel_matrix
 from genhjb.kernels import (SMOOTHING_RADIUS, KernelSpec, cross_kernel_matrix,
                             cross_kernel_vector, fd_check_derivatives,
@@ -252,3 +254,39 @@ def test_target_matrix_diagonal_uses_surrogate():
     assert H[0, 0] == pytest.approx(-40000.0, rel=1e-13)
     M = target_kernel_matrix(LAP1, X, np.ones((2, 2)), 0.0)
     assert M[0, 0] == 0.0
+
+
+def test_target_matrix_by_small_row_blocks(monkeypatch):
+    # three-row blocks: the pointwise test's 12 points make four blocks, the
+    # finite-difference cases' up to 8 points end on a ragged block
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 3)
+    test_target_matrix_matches_pointwise()
+    test_target_matrix_matches_finite_differences()
+    test_target_matrix_diagonal_uses_surrogate()
+
+
+@pytest.mark.parametrize("k", [SE2, LAP1])
+def test_target_row_blocks_give_the_same_bits(k, monkeypatch):
+    # duplicate points put the Laplace surrogate in several blocks
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-2, 2, size=(40, 3))
+    X[[5, 17, 38]] = X[[0, 2, 33]]
+    fields = [rng.normal(size=X.shape) for _ in range(2)]
+    K, want = kernels._gram_and_targets(k, X, fields, 0.3)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+    K3, got = kernels._gram_and_targets(k, X, fields, 0.3)
+    assert np.array_equal(K3, K) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [3, kernels.BLOCK_ROWS])
+def test_nonfinite_target_reports_its_global_index(rows, monkeypatch):
+    # the drift at point 7 overflows against point 4 only, so entry (7, 4)
+    # is the single non-finite one, in the third block of three rows
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+    X = np.linspace(0.0, 1.0, 10)[:, None]
+    X[4] = 3.0
+    F = np.zeros_like(X)
+    F[7] = 1e308
+    with pytest.raises(NumericalDomainError, match=r"\(7, 4\)") as info:
+        target_kernel_matrix(SE2, X, F, 0.0)
+    assert info.value.where == (7, 4)
