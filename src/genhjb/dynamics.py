@@ -74,7 +74,9 @@ def drift_under_input(system: ControlAffineSystem, x, u) -> np.ndarray:
     if u.shape != (system.n_u,):
         raise ValueError(f"input must have shape ({system.n_u},), got {u.shape}")
     xs = x.tolist()
-    out = np.asarray(system.drift(xs)) + np.asarray(system.input_map(xs)) @ u
+    f, G = system.drift(xs), system.input_map(xs)
+    _check_plant_output(system, f, G)
+    out = np.asarray(f) + np.asarray(G) @ u
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError(f"non-finite drift at x={x!r}", where=x)
     return out
@@ -266,9 +268,11 @@ def dataset_from_states(
 
     labels = np.empty((system.n_u + 1, N, system.n_x))
     for i, x in enumerate(X.tolist()):
-        # drift_under_input's arithmetic; its per-point checks are the one
-        # finiteness scan below
-        f, G = np.asarray(drift(x)), np.asarray(input_map(x))
+        # drift_under_input's arithmetic; its finiteness checks are the one
+        # scan below
+        f, G = drift(x), input_map(x)
+        _check_plant_output(system, f, G)
+        f, G = np.asarray(f), np.asarray(G)
         for c, u in enumerate(channels):
             labels[c, i] = f + G @ u
     bad = ~np.isfinite(labels).all(axis=2)

@@ -51,13 +51,15 @@ def run_pipeline(spec: PipelineSpec) -> HjbSolution:
 
 
 def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
-    """``lo`` and ``hi`` as float vectors of ``n`` entries each (as many as
+    """``lo`` and ``hi`` as finite float vectors of ``n`` entries (as many as
     ``lo`` when ``n`` is None) with lo <= hi; errors use the names given."""
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
     n = lo.size if n is None else n
     for bound, name in ((lo, lo_name), (hi, hi_name)):
         if bound.shape != (n,):
             raise ConfigError(f"{name} must have {n} entries, got {bound.size}")
+        if not np.all(np.isfinite(bound)):
+            raise ConfigError(f"{name} must be finite, got {bound.tolist()}")
     if np.any(lo > hi):
         raise ConfigError(f"{lo_name} must not exceed {hi_name}, got {lo.tolist()} and "
                           f"{hi.tolist()}")

@@ -14,11 +14,13 @@ g_j alone, with no diffusion term (the target is linear in the drift, so
 the target of f + g_j minus that of f is exactly the target of g_j).  The
 operator under input u is A-hat + sum_j u_j B-hat_j.
 
-The model stores what the HJB step multiplies by, not A-hat itself: the
-drift target T_A = K_gamma A-hat, B-hat_j, and K B-hat_j = T_Bj - N gamma
-B-hat_j, formed in place from the input target T_Bj after its solve.  A fit
-costs one Cholesky factor and one solve with N right-hand sides per input,
-about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
+The model stores what the HJB step of :mod:`genhjb.hjb` multiplies by,
+(K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt q(X) + dt D_r(C w_m), not
+A-hat itself: the drift target T_A = K_gamma A-hat, B-hat_j, C_j = K B-hat_j
+= T_Bj - N gamma B-hat_j, formed in place from the input target T_Bj after
+its solve, and the stage cost q(X) at the data points as the dataset gives
+it.  A fit costs one Cholesky factor and one solve with N right-hand sides
+per input, about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
 K_gamma^{-1} (T_A h), O(N^2) per vector.
 
 K_gamma is factored in K's own buffer: cdist makes K bitwise symmetric,
@@ -27,9 +29,8 @@ it in place.  Each B-hat_j is solved in place, in its own C-ordered slice:
 K_gamma B = T is B^T K_gamma = T^T, two right-side triangular solves on
 the slice's Fortran-ordered transpose with no copy of the target.  At its
 peak a fit holds the factor, the 1 + n_u targets and B-hat, (2 + 2 n_u)
-N^2 doubles.  The factor is dropped when the fit returns, since nothing
-downstream of the fit needs it, and the model keeps no Gram matrix: K is
-a function of the kernel and X, rebuilt where a step needs it.
+N^2 doubles.  The model keeps neither the factor nor the Gram matrix: K
+is rebuilt from the kernel and X where a step needs it.
 """
 from __future__ import annotations
 
@@ -61,13 +62,10 @@ class GeneratorModel:
     ``A_target`` is the drift channel's target T_A = K_gamma A-hat, so the
     zero-input generator on coefficient vectors is K_gamma^{-1} A_target.
     ``B_hat[j]`` is the correction per unit input channel and ``KB_hat[j]``
-    its product K B_hat[j] with the Gram matrix.  ``q_coeff`` holds the
-    coefficients of the stage cost's kernel interpolant.  ``kgamma_cho``
-    holds the Cholesky factorization of K + N gamma I for the solves with
-    K_gamma.  A fitted and a loaded model both start with None, and
-    ``solve_regularized`` builds it on first use: the HJB solve and the
-    policy never need it.  The Gram matrix itself is not stored; ``K``
-    rebuilds it on each access.
+    its product K B_hat[j] with the Gram matrix.  ``q`` is the stage cost
+    at each data point, the dataset's values bit for bit.  The model is
+    plain data: neither the Gram matrix nor a factor of K_gamma is stored;
+    ``K`` rebuilds the former on each access.
     """
 
     kernel: KernelSpec
@@ -77,8 +75,7 @@ class GeneratorModel:
     A_target: np.ndarray
     B_hat: np.ndarray
     KB_hat: np.ndarray
-    q_coeff: np.ndarray
-    kgamma_cho: tuple | None = None
+    q: np.ndarray
 
     @property
     def K(self) -> np.ndarray:
@@ -115,19 +112,22 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     """Fit the generator operator blocks from a drift dataset.
 
     The ridge parameter enters as N gamma on the Gram diagonal, so tabulated
-    gamma values transfer across dataset sizes.
+    gamma values transfer across dataset sizes.  A non-finite stage cost
+    raises ValueError naming its first point before any matrix is built.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     X = dataset.X
+    bad = np.flatnonzero(~np.isfinite(dataset.q))
+    if bad.size:
+        raise ValueError(f"non-finite stage cost at data point {bad[0]}: {dataset.q[bad[0]]}")
     N = X.shape[0]
     labels = dataset.drift_labels
     # channel j's label is f + g_j, so the difference is g_j
     K, targets = kernels._gram_and_targets(
         kernel, X, [labels[0]] + [labels[j + 1] - labels[0] for j in range(dataset.n_u)],
         epsilon)
-    cho = _factor_kgamma(K, gamma)
-    L = cho[0]
+    L = _factor_kgamma(K, gamma)[0]
     trsm = scipy.linalg.blas.dtrsm
     B_hat = np.empty((dataset.n_u, N, N))
     KB_hat = targets[1:]
@@ -139,10 +139,9 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
         trsm(1.0, L, Bt, side=1, lower=1, overwrite_b=1)
         # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
         scipy.linalg.blas.daxpy(B_hat[j].ravel(), KB_hat[j].ravel(), a=-N * gamma)
-    q_coeff = _cho_solve(cho, dataset.q)
     return GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
-        A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q_coeff=q_coeff,
+        A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q=dataset.q,
     )
 
 
@@ -158,11 +157,9 @@ def _cho_solve(cho, rhs) -> np.ndarray:
 
 
 def solve_regularized(model: GeneratorModel, rhs: np.ndarray) -> np.ndarray:
-    """Solve K_gamma z = rhs with the model's Cholesky factorization, built
-    on first use from a fresh Gram matrix and kept."""
-    if model.kgamma_cho is None:
-        model.kgamma_cho = _factor_kgamma(model.K, model.gamma)
-    return _cho_solve(model.kgamma_cho, rhs)
+    """Solve K_gamma z = rhs by a Cholesky factor of a fresh Gram matrix,
+    built for this solve and not kept."""
+    return _cho_solve(_factor_kgamma(model.K, model.gamma), rhs)
 
 
 def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
@@ -187,12 +184,13 @@ def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
 def min_eig_estimate(model: GeneratorModel) -> float:
     """Smallest eigenvalue of K_gamma, estimated by 30 steps of inverse power
     iteration from a random start vector drawn with seed 0."""
+    cho = _factor_kgamma(model.K, model.gamma)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(model.n_points)
     v /= np.linalg.norm(v)
     lam_inv = 0.0
     for _ in range(30):
-        w = solve_regularized(model, v)
+        w = _cho_solve(cho, v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             break
@@ -206,10 +204,10 @@ def min_eig_estimate(model: GeneratorModel) -> float:
 def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> None:
     """Serialize a fitted model to a byte-stable .npz archive.
 
-    Only the data points and operator blocks are stored.  The Gram matrix
-    is a function of the kernel and the points, so neither it nor its
-    factorization is stored: the factorization is built on first use, and
-    loading builds neither.
+    The data points, the operator blocks and the stage cost at the points
+    are stored.  The Gram matrix is a function of the kernel and the
+    points, so neither it nor a factor of K_gamma is stored, and loading
+    builds neither.
     """
     meta = {
         "kind": "generator-model",
@@ -222,7 +220,7 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
     save_arrays(
         path,
         {"X": model.X, "A_target": model.A_target, "B_hat": model.B_hat,
-         "KB_hat": model.KB_hat, "q_coeff": model.q_coeff},
+         "KB_hat": model.KB_hat, "q": model.q},
         meta=meta,
     )
 
@@ -245,7 +243,7 @@ def load_model(path):
     N = X.shape[0]
     B_hat = require_array(arrays, "B_hat", (None, N, N), path)
     blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
-        ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q_coeff", (N,)))}
+        ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q", (N,)))}
     model = GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, B_hat=B_hat, **blocks)
     return model, meta

@@ -1,9 +1,9 @@
 """Finite-dimensional HJB final-value problem in the learned RKHS basis.
 
-With the fitted operator blocks A-hat, B-hat_j and the cost coefficients q,
-the value function's coefficient vector v(t) solves the backward ODE
+With the fitted blocks A-hat, B-hat_j and the stage cost q(X) at the data
+points, the value function's coefficient vector v(t) solves the backward ODE
 
-    -dv/dt = A-hat v + q + K_gamma^{-1} D_r(lambda(v)),
+    -dv/dt = A-hat v + K_gamma^{-1} (q(X) + D_r(lambda(v))),
 
 integrated from the zero final condition over the horizon.  Here
 lambda_j(v) at the data points is K B-hat_j v, and D_r is the box-penalty
@@ -11,17 +11,17 @@ dual from :mod:`genhjb.penalty` applied row-wise.  Each step is
 implicit-explicit (IMEX; Ascher, Ruuth & Spiteri, 1997): the linear part
 is taken implicitly and the control nonlinearity explicitly,
 
-    (I - dt A-hat) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(lambda(w_m))).
+    (I - dt A-hat) w_{m+1} = w_m + dt K_gamma^{-1} (q(X) + D_r(lambda(w_m))).
 
 The step is applied multiplied through by K_gamma.  With the model's drift
 target T_A = K_gamma A-hat and C_j = K B-hat_j it reads
 
-    (K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt K_gamma q + dt D_r(C w_m),
+    (K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt q(X) + dt D_r(C w_m),
 
 so neither A-hat nor K_gamma^{-1} is ever formed.  Setup builds
 F = K + N gamma I - dt T_A in a freshly built Gram matrix, adding T_A by
 row blocks, and factors it there by LU (about 2/3 N^3 flops), then solves
-F c = dt K_gamma q once.  Each step advances by an increment,
+F c = dt q(X) once.  Each step advances by an increment,
 
     w_{m+1} = w_m + c + F^{-1} (dt T_A w_m + dt D_r(C w_m)),
 
@@ -96,17 +96,15 @@ def _gram_product(model: GeneratorModel, c) -> np.ndarray:
 
 
 def _step_factor(model: GeneratorModel, dt: float):
-    """LU factors of F = K + N gamma I - dt T_A, and K q.
+    """LU factors of F = K + N gamma I - dt T_A.
 
-    F is built in a fresh Gram matrix, and K q is taken from it before
-    -dt T_A is added by row blocks (the same bits as adding K to -dt T_A).
-    The array is C-ordered, so LAPACK factors its transpose F^T in place.
-    Raises StepSizeError when a pivot is numerically zero or not finite
-    (a non-finite F leaves a NaN pivot).
+    F is built in a fresh Gram matrix, and -dt T_A is added by row blocks
+    (the same bits as adding K to -dt T_A).  The array is C-ordered, so
+    LAPACK factors its transpose F^T in place.  Raises StepSizeError when a
+    pivot is numerically zero or not finite (a non-finite F leaves a NaN pivot).
     """
     N = model.n_points
     F = model.K
-    kq = F @ model.q_coeff
     for b in kernels.row_blocks(N):
         F[b] += np.multiply(model.A_target[b], -dt)
     F[np.diag_indices(N)] += N * model.gamma
@@ -120,7 +118,7 @@ def _step_factor(model: GeneratorModel, dt: float):
         raise StepSizeError(
             f"K_gamma - dt T_A is numerically singular for dt={dt}; reduce the step"
         )
-    return lu_piv, kq
+    return lu_piv
 
 
 def _panels(N: int) -> list:
@@ -174,20 +172,17 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
     if pen is not None and pen.n_u != model.n_u:
         raise ValueError(f"penalty has {pen.n_u} channels, model has {model.n_u}")
     dt = config.dt
-    ng = model.n_points * model.gamma
-    lu_piv, dkq = _step_factor(model, dt)
-    solve_step = _panel_solver(lu_piv)
+    solve_step = _panel_solver(_step_factor(model, dt))
 
-    # c = dt (I - dt A-hat)^{-1} q solves F c = dt K_gamma q.  One step of
-    # iterative refinement checks the solve: its correction estimates the
-    # error of c and must stay within 1e-6 of c (1e-12 to 1.5e-9 on the
+    # F c = dt q(X) gives c = dt (I - dt A-hat)^{-1} K_gamma^{-1} q(X).  One
+    # step of iterative refinement checks the solve: its correction estimates
+    # the error of c and must stay within 1e-6 of c (1e-12 to 1.5e-9 on the
     # benchmarks), which an F too ill-conditioned to solve with fails
-    dkq += ng * model.q_coeff
-    dkq *= dt
-    c = solve_step(dkq)
+    dq = dt * model.q
+    c = solve_step(dq)
     kc = _gram_product(model, c)
-    kc += ng * c
-    fix = solve_step(dkq - (kc - dt * (model.A_target @ c)))
+    kc += model.n_points * model.gamma * c
+    fix = solve_step(dq - (kc - dt * (model.A_target @ c)))
     c += fix
     if not np.linalg.norm(fix, np.inf) <= 1e-6 * np.linalg.norm(c, np.inf):
         raise StepSizeError(

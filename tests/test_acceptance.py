@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from genhjb import KernelSpec, dataset_from_states, fit, make_benchmark
 from genhjb.dynamics import StateGridSpec, generate_dataset, write_dataset
@@ -222,13 +221,13 @@ def test_criterion_7_module_invariant_spot_checks(tmp_path):
     A_hat = solve_regularized(model, model.A_target)
     assert np.max(np.abs(kgamma @ A_hat - k0)) <= 1e-8
 
-    # semi-implicit two-step recursion against hand-computed iterates
+    # semi-implicit two-step recursion against hand-computed iterates; with
+    # K = 1 and K_gamma = 2, the stage cost 2.0 is the cost coefficient 1
     from genhjb.generator import GeneratorModel
     toy = GeneratorModel(
         kernel=k1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
-        kgamma_cho=scipy.linalg.cho_factor(np.array([[2.0]]), lower=True),
         A_target=np.array([[-1.0]]), B_hat=np.array([[[2.0]]]),
-        KB_hat=np.array([[[2.0]]]), q_coeff=np.array([1.0]),
+        KB_hat=np.array([[[2.0]]]), q=np.array([2.0]),
     )
     sol = solve_fvp(toy, symmetric_box_penalty([0.5], 1.0),
                     HjbConfig(dt=0.1, horizon_steps=2))

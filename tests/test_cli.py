@@ -75,6 +75,17 @@ def test_fit_and_solve_artifacts(pipeline):
     assert len(vp) == 32
 
 
+def test_model_archive_holds_the_datasets_stage_cost_bit_for_bit(pipeline):
+    # read with numpy alone, so no reader of the library vouches for itself
+    with np.load(pipeline["out"] / "model.npz") as archive:
+        q = archive["q"]
+    path = pipeline["out"] / "dataset.csv"
+    header = path.read_text().splitlines()[1].split(",")   # after the hash line
+    table = np.genfromtxt(path, delimiter=",", skip_header=2)
+    assert q.dtype == np.float64 and q.shape == (30,)
+    assert np.array_equal(q, table[:, header.index("q")])
+
+
 def test_fit_reports_the_reloaded_models_min_eig(pipeline, tmp_path, capsys):
     # fit hands back no Cholesky factor, so the estimate it prints and the
     # reloaded model's both come from a factor that _factor_kgamma rebuilds
@@ -504,13 +515,28 @@ def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_pa
     from genhjb.npzio import load_arrays, save_arrays
     arrays, meta = load_arrays(pipeline["out"] / "model.npz")
     old = {"X": arrays["X"], "A_hat": arrays["A_target"], "B_hat": arrays["B_hat"],
-           "q_coeff": arrays["q_coeff"]}
+           "q_coeff": arrays["q"]}
     save_arrays(tmp_path / "old_model.npz", old, meta=meta)
     code = cli.main(["solve", "--config", pipeline["cfg"], "--model",
                      str(tmp_path / "old_model.npz"), "--solution",
                      str(tmp_path / "s.npz")])
     assert code == 2
     assert "no array 'A_target'" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_model_archive_with_cost_coefficients(pipeline, tmp_path, capsys):
+    # a model archive from before the stage cost was stored at the data
+    # points holds its kernel coefficients, q_coeff, in place of q
+    from genhjb.npzio import load_arrays, save_arrays
+    arrays, meta = load_arrays(pipeline["out"] / "model.npz")
+    arrays["q_coeff"] = arrays.pop("q")
+    save_arrays(tmp_path / "old_model.npz", arrays, meta=meta)
+    code = cli.main(["solve", "--config", pipeline["cfg"], "--model",
+                     str(tmp_path / "old_model.npz"), "--solution",
+                     str(tmp_path / "s.npz")])
+    assert code == 2
+    assert "no array 'q'" in capsys.readouterr().err
+    assert not (tmp_path / "s.npz").exists()
 
 
 @pytest.mark.parametrize("archive, key", [

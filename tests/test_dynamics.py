@@ -462,6 +462,31 @@ def test_simulation_checks_the_input_map_shape(input_map, rows):
         simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.1, 0.2], dt=0.01, steps=3)
 
 
+@pytest.mark.parametrize("drift, input_map, message", [
+    (lambda x: [x[0]], lambda x: [[1.0]], "drift returned 1 entries, expected 2"),
+    (lambda x: [x[1], 0.0], lambda x: [[1.0]],
+     r"input_map returned rows of lengths \[1\], expected 2 rows of 1"),
+    (lambda x: [x[1], 0.0], lambda x: [[0.0], [1.0, 2.0]],
+     r"input_map returned rows of lengths \[1, 2\], expected 2 rows of 1"),
+], ids=["short-drift", "few-rows", "long-row"])
+def test_drift_labels_check_the_plant_shape(drift, input_map, message):
+    # numpy would broadcast a short drift or a one-row input map across the
+    # state, so the labels of a misshapen plant would look well formed
+    sys_ = _plant_2x1(drift, input_map)
+    with pytest.raises(ValueError, match=rf"^plant 'misshapen': {message}$"):
+        dataset_from_states(sys_, [[0.5, 0.5], [1.0, 1.0]], lambda x: 0.0)
+    with pytest.raises(ValueError, match=rf"^plant 'misshapen': {message}$"):
+        drift_under_input(sys_, [0.5, 0.5], [0.0])
+
+
+def test_drift_labels_check_the_plant_shape_at_every_state():
+    sys_ = _plant_2x1(lambda x: [x[1], 0.0] if x[0] < 1.0 else [x[1]],
+                      lambda x: [[0.0], [1.0]])
+    assert dataset_from_states(sys_, [[0.5, 0.5]], lambda x: 0.0).n_points == 1
+    with pytest.raises(ValueError, match="drift returned 1 entries"):
+        dataset_from_states(sys_, [[0.5, 0.5], [1.0, 1.0]], lambda x: 0.0)
+
+
 def test_two_input_rollout_matches_numpy_euler():
     # With two channels the float step sums G_i0 u_0 + G_i1 u_1 in order,
     # where a matmul may sum in another order: equal to rounding, not bitwise

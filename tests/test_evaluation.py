@@ -278,6 +278,23 @@ def test_cost_bench_spec_validation():
     assert CostBenchSpec(**{**ok, "n_rollouts": 2.0}).n_rollouts == 2
 
 
+@pytest.mark.parametrize("lo, hi, name", [
+    ([np.nan], [1.0], "lo"), ([0.0], [np.inf], "hi"), ([-np.inf], [1.0], "lo"),
+], ids=["nan-lo", "inf-hi", "minus-inf-lo"])
+def test_nonfinite_box_bound_is_a_config_error(lo, hi, name):
+    # a non-finite bound would reach numpy's sampler, which raises an
+    # untyped OverflowError for an infinite range
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+        rmse_to_reference(lambda x: x, lambda x: x, lo, hi, n_points=5)
+    with pytest.raises(ConfigError, match=rf"^init_{name} must be finite"):
+        CostBenchSpec(system=_integrator(), stage_cost=lambda x: 0.0, pen=PEN,
+                      init_lo=lo, init_hi=hi, duration=1.0, control_hz=10.0,
+                      n_rollouts=2)
+    with pytest.raises(ConfigError, match=rf"^region_{name} must be finite"):
+        SweepSpec(base=_spec(), variable="lengthscale", values=(1.0,),
+                  region_lo=np.array(lo), region_hi=np.array(hi))
+
+
 def test_sweep_csv_format(tmp_path):
     rows = [{"value": 0.5, "n_points": 25, "rmse": 0.125, "error": None},
             {"value": 2.0, "n_points": 25, "rmse": float("nan"),

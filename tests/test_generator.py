@@ -89,7 +89,7 @@ def test_fit_single_point_hand_example():
     model = fit(ds, SE1, gamma=1.0, epsilon=0.0)
     np.testing.assert_allclose(solve_regularized(model, model.A_target), [[0.0]],
                                atol=1e-15)
-    np.testing.assert_allclose(model.q_coeff, [2.5], rtol=1e-15)
+    np.testing.assert_array_equal(model.q, [5.0])
 
 
 def test_fit_zero_input_map_gives_zero_b():
@@ -116,8 +116,6 @@ def test_fit_residual_identities():
     A_hat = solve_regularized(model, model.A_target)
     assert np.linalg.norm(Kg @ A_hat - T0) <= 1e-8 * np.linalg.norm(T0)
     assert np.linalg.norm(Kg @ model.B_hat[0] - dT) <= 1e-8 * np.linalg.norm(dT)
-    qr = solve_regularized(model, ds.q)
-    np.testing.assert_allclose(model.q_coeff, qr, rtol=1e-12)
 
 
 def test_fit_matches_dense_inverse_small_n():
@@ -257,7 +255,7 @@ def test_model_archive_roundtrip_and_byte_stability(tmp_path):
     np.testing.assert_array_equal(back.A_target, model.A_target)
     np.testing.assert_array_equal(back.B_hat, model.B_hat)
     np.testing.assert_array_equal(back.KB_hat, model.KB_hat)
-    np.testing.assert_array_equal(back.q_coeff, model.q_coeff)
+    np.testing.assert_array_equal(back.q, model.q)
     save_model(p2, back, config_hash="beef")
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -277,7 +275,8 @@ def test_reloaded_model_solves_to_the_same_bits(tmp_path):
 
 def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
     # neither the HJB solve nor the policy needs the Cholesky factor, so a
-    # loaded model builds it only when a solve with K_gamma asks for it
+    # loaded model is factored only by a solve with K_gamma, which keeps
+    # no factor
     from genhjb import generator
     from genhjb.hjb import HjbConfig, policy_at, solve_fvp
     from genhjb.penalty import symmetric_box_penalty
@@ -295,16 +294,13 @@ def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
     got = solve_fvp(back, pen, cfg)
     assert np.array_equal(got.v0, want.v0) and np.array_equal(got.bv0, want.bv0)
     assert np.array_equal(policy_at(got, pen, [0.3]), policy_at(want, pen, [0.3]))
-    assert back.kgamma_cho is None
 
     monkeypatch.setattr(generator, "_factor_kgamma", factor)
     rhs = np.linspace(-1.0, 1.0, 60)
     assert np.array_equal(solve_regularized(back, rhs), solve_regularized(model, rhs))
-    cho = back.kgamma_cho
     assert generator_apply(back, [1.0], want.v0, [0.3]) \
         == generator_apply(model, [1.0], want.v0, [0.3])
     assert min_eig_estimate(back) == min_eig_estimate(model)
-    assert back.kgamma_cho is cho     # built once, then kept
 
 
 def test_load_model_builds_no_gram_matrix(tmp_path, monkeypatch):
@@ -316,7 +312,7 @@ def test_load_model_builds_no_gram_matrix(tmp_path, monkeypatch):
         raise AssertionError("cdist was called")
     monkeypatch.setattr(kernels, "cdist", refuse)
     back, _ = load_model(tmp_path / "m.npz")
-    for name in ("X", "A_target", "B_hat", "KB_hat", "q_coeff"):
+    for name in ("X", "A_target", "B_hat", "KB_hat", "q"):
         np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
 
 
@@ -342,6 +338,39 @@ def test_solve_regularized_rejects_a_nonfinite_right_hand_side():
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve_regularized(model, z)
     np.testing.assert_array_equal(solve_regularized(model, rhs), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_a_nonfinite_stage_cost_before_any_matrix(monkeypatch, bad):
+    from genhjb.dynamics import GeneratorDataset
+    ds = _linear_dataset(n=12)
+    q = ds.q.copy()
+    q[[4, 9]] = bad
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(kernels, "_gram_and_targets", refuse)
+    with pytest.raises(ValueError, match=rf"^non-finite stage cost at data point 4: {bad}$"):
+        fit(GeneratorDataset(X=ds.X, drift_labels=ds.drift_labels, q=q), SE1, 1e-6, 0.01)
+
+
+def test_model_is_plain_data_and_solves_keep_no_factor(monkeypatch):
+    # the model's fields are arrays and numbers; each solve with K_gamma
+    # factors a fresh Gram matrix, and the power iteration factors once
+    from dataclasses import fields
+    ds = _linear_dataset(n=30)
+    model = fit(ds, SE1, 1e-6, 0.01)
+    assert [f.name for f in fields(model)] == [
+        "kernel", "X", "gamma", "epsilon", "A_target", "B_hat", "KB_hat", "q"]
+    assert np.array_equal(model.q, ds.q)
+    calls = []
+    factor = generator._factor_kgamma
+    monkeypatch.setattr(generator, "_factor_kgamma",
+                        lambda *a: calls.append(1) or factor(*a))
+    rhs = np.linspace(-1.0, 1.0, 30)
+    first = solve_regularized(model, rhs)
+    assert np.array_equal(solve_regularized(model, rhs), first) and len(calls) == 2
+    min_eig_estimate(model)
+    assert len(calls) == 3
 
 
 @st.composite
@@ -403,7 +432,7 @@ def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):
     np.testing.assert_array_equal(b.bv0, a.bv0)
 
 
-@pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q_coeff"])
+@pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q"])
 def test_load_model_names_a_missing_or_misshapen_array(tmp_path, name):
     from genhjb.npzio import load_arrays, save_arrays
     model = fit(_linear_dataset(n=12), SE1, 1e-6, 0.01)

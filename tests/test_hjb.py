@@ -19,14 +19,14 @@ SE1 = KernelSpec("squared-exponential", 1.0)
 
 
 def _toy_model(a, b=0.0, q=0.0):
-    """One-point model with K = 1, gamma = 1 (so K_gamma = 2) and the scalar
-    blocks A-hat = a, B-hat = b."""
+    """One-point model with K = 1, gamma = 1 (so K_gamma = 2), the scalar
+    blocks A-hat = a, B-hat = b and the cost coefficient q, which puts the
+    stage cost K_gamma q at the point."""
     K, kgamma = 1.0, 2.0
     return GeneratorModel(
         kernel=SE1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
-        kgamma_cho=scipy.linalg.cho_factor(np.array([[kgamma]]), lower=True),
         A_target=np.array([[kgamma * a]]), B_hat=np.array([[[float(b)]]]),
-        KB_hat=np.array([[[K * b]]]), q_coeff=np.array([float(q)]),
+        KB_hat=np.array([[[K * b]]]), q=np.array([kgamma * q]),
     )
 
 
@@ -98,9 +98,8 @@ def test_step_size_error_on_inaccurate_inverse():
     S = np.array([[0.1, 0.7], [0.3, 2.1 + 3e-13]])
     model = GeneratorModel(
         kernel=SE1, X=np.array([[0.0], [100.0]]), gamma=0.5, epsilon=0.0,
-        kgamma_cho=scipy.linalg.cho_factor(2.0 * np.eye(2), lower=True),
         A_target=2.0 * (np.eye(2) - S) / dt, B_hat=np.zeros((1, 2, 2)),
-        KB_hat=np.zeros((1, 2, 2)), q_coeff=np.array([1.0, 3.0]),
+        KB_hat=np.zeros((1, 2, 2)), q=np.array([2.0, 6.0]),
     )
     with pytest.raises(StepSizeError, match="ill-conditioned"):
         solve_fvp(model, None, HjbConfig(dt=dt, horizon_steps=3))
@@ -131,14 +130,15 @@ def test_control_term_overflow_raises_divergence():
 
 def _imex_oracle(model, pen, dt, steps):
     """The IMEX recursion with dense solves on I - dt A and on K_gamma:
-    (I - dt A) w_{m+1} = w_m + dt (q + K_gamma^{-1} D_r(K B_j w_m)),
+    (I - dt A) w_{m+1} = w_m + dt K_gamma^{-1} (q(X) + D_r(K B_j w_m)),
     with A = K_gamma^{-1} T_A from one more dense solve."""
     N = model.n_points
     Kg = model.K + N * model.gamma * np.eye(N)
     S = np.eye(N) - dt * np.linalg.solve(Kg, model.A_target)
+    q = np.linalg.solve(Kg, model.q)
     w = np.zeros(N)
     for _ in range(steps):
-        rhs = w + dt * model.q_coeff
+        rhs = w + dt * q
         if pen is not None:
             lam = np.stack([model.K @ (B @ w) for B in model.B_hat], axis=1)
             u = np.clip(-lam / (2.0 * pen.weights), pen.u_min, pen.u_max)
@@ -157,8 +157,7 @@ def _random_two_input_model(N=40, gamma=1e-3, seed=7):
     B = rng.standard_normal((2, N, N)) / np.sqrt(N)
     return GeneratorModel(
         kernel=SE1, X=X, gamma=gamma, epsilon=0.0,
-        kgamma_cho=scipy.linalg.cho_factor(Kg, lower=True), A_target=Kg @ A,
-        B_hat=B, KB_hat=K @ B, q_coeff=rng.uniform(0.5, 1.5, N),
+        A_target=Kg @ A, B_hat=B, KB_hat=K @ B, q=Kg @ rng.uniform(0.5, 1.5, N),
     )
 
 
@@ -220,8 +219,8 @@ def test_panel_solve_matches_lu_solve(N):
 
 def test_fit_and_solve_hold_four_n_squared_arrays_at_most():
     # the fit peaks at the two targets, B-hat and the Cholesky factor, built
-    # in K's own buffer, and hands the factor back to no one, so the model
-    # keeps T_A, B-hat and K B-hat; the HJB setup adds F and the copies of
+    # in K's own buffer, and the model keeps no factor, only T_A, B-hat and
+    # K B-hat; the HJB setup adds F and the copies of
     # its diagonal panel blocks, and the steps only vectors
     sys_ = linear_1d_system(a=-1.0, epsilon=0.01)
     grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(600,))
@@ -241,7 +240,6 @@ def test_fit_and_solve_hold_four_n_squared_arrays_at_most():
         solve_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert model.kgamma_cho is None
     assert fit_peak <= 4.25 * n2
     assert held <= 3.0 * n2 + 8.0 * 64 * N
     blocks = sum((e - s) ** 2 for s, e in hjb._panels(N))
