@@ -23,7 +23,8 @@ import yaml
 from . import evaluation, hjb, kernels, systems
 from .dynamics import (accumulated_cost, generate_dataset, read_dataset, simulate_closed_loop,
                        write_dataset)
-from .errors import ConfigError, NumericalError, count, nonnegative, number, positive
+from .errors import (ConfigError, NumericalError, check_box, count, nonnegative, number,
+                     positive)
 from .generator import fit, load_model, min_eig_estimate, save_model
 from .hjb import HjbConfig, load_solution, save_solution, solve_fvp
 from .kernels import KernelSpec
@@ -211,7 +212,7 @@ class ExperimentConfig:
         _check_length(prefix + "x0", opts.get("x0"), n_sim)
         for lo, hi, n in (("region_lo", "region_hi", n_x), ("init_lo", "init_hi", n_sim)):
             if lo in opts:
-                evaluation.check_box(opts[lo], opts[hi], n, prefix + lo, prefix + hi)
+                check_box(opts[lo], opts[hi], n, prefix + lo, prefix + hi)
         return opts
 
 

@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceError, NumericalDomainError, count,
-                     exact_int)
+from .errors import (ConfigError, DivergenceError, NumericalDomainError, check_box, count,
+                     exact_int, nonnegative, positive)
 from .npzio import write_csv
 from .penalty import penalty_value
 
@@ -54,10 +54,9 @@ class ControlAffineSystem:
             raise ValueError("control box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("control box is empty (u_min > u_max)")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         object.__setattr__(self, "u_min", lo)
         object.__setattr__(self, "u_max", hi)
+        object.__setattr__(self, "epsilon", nonnegative(self.epsilon, "epsilon"))
 
 
 def _state(system: ControlAffineSystem, x) -> np.ndarray:
@@ -97,13 +96,10 @@ class StateGridSpec:
     angle_dims: tuple = ()
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         counts = tuple(count(c, "grid counts") for c in self.counts)
-        if len(bounds) != len(counts):
-            raise ValueError("bounds and counts must have equal length")
-        for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bad bound ({lo}, {hi})")
+        lo, hi = check_box([lo for lo, _ in self.bounds], [hi for _, hi in self.bounds],
+                           len(counts), "grid lower bounds", "grid upper bounds")
+        bounds = tuple(zip(lo.tolist(), hi.tolist()))
         angle_dims = tuple(sorted(exact_int(d, "angle_dims") for d in self.angle_dims))
         if any(d < 0 or d >= len(bounds) for d in angle_dims):
             raise ValueError("angle_dims out of range")
@@ -320,14 +316,9 @@ def simulate_closed_loop(
     x = _state(system, x0)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps = exact_int(steps, "steps")
-    control_interval = exact_int(control_interval, "control_interval")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if control_interval < 1:
-        raise ValueError("control_interval must be >= 1")
+    dt = positive(dt, "dt")
+    steps = count(steps, "steps")
+    control_interval = count(control_interval, "control_interval")
     rng = np.random.default_rng(seed)
     noise_scale = math.sqrt(2.0 * system.epsilon * dt)
     noisy = noise and system.epsilon > 0
@@ -377,12 +368,17 @@ def simulate_closed_loop(
 
 
 def _check_plant_output(system: ControlAffineSystem, f, G) -> None:
-    """drift must give n_x entries and input_map n_x rows of n_u entries."""
+    """drift must give n_x entries and input_map n_x rows of n_u entries; a
+    float where a list belongs, such as a flat input_map row, is refused."""
     n_x, n_u = system.n_x, system.n_u
-    if len(f) != n_x:
-        raise ValueError(f"plant {system.name!r}: drift returned {len(f)} entries, "
+    try:
+        entries, rows = len(f), [len(g) for g in G]
+    except TypeError:
+        raise ValueError(f"plant {system.name!r}: drift must return {n_x} floats and "
+                         f"input_map {n_x} rows of {n_u} floats, got {f!r} and {G!r}") from None
+    if entries != n_x:
+        raise ValueError(f"plant {system.name!r}: drift returned {entries} entries, "
                          f"expected {n_x}")
-    rows = [len(g) for g in G]
     if rows != [n_u] * n_x:
         raise ValueError(f"plant {system.name!r}: input_map returned rows of lengths "
                          f"{rows}, expected {n_x} rows of {n_u}")

@@ -2,6 +2,16 @@
 
 Callers that drive full pipelines (CLI, sweeps) catch these to distinguish
 bad inputs from numerical breakdown from I/O trouble.
+
+Every scalar and box check in the package is one of the helpers below
+(``number``, ``positive``, ``nonnegative``, ``exact_int``, ``count`` and
+``check_box``); each raises ConfigError naming the argument, and its
+caller keeps the float or int it returns.  The checks kept elsewhere
+follow another rule: the plant's actuator box in
+``dynamics.ControlAffineSystem`` allows an infinite bound and rejects only
+NaN; the shape checks on the policy-query path (``penalty._lam``,
+``kernels.cross_kernel_vector``) test one array's shape, not its values,
+on every call; and ``cli._pair`` names the config key it reads.
 """
 import numpy as np
 
@@ -12,9 +22,10 @@ class ConfigError(ValueError):
 
 def number(value, name: str) -> float:
     """``value`` as a finite float; a boolean (YAML ``true``) is rejected
-    instead of read as 1.0 or 0.0."""
+    instead of read as 1.0 or 0.0, and a string (YAML 1.1 reads ``1e-8``,
+    with no dot, as one) instead of parsed, as ``exact_int`` rejects them."""
     try:
-        out = None if isinstance(value, (bool, np.bool_)) else float(value)
+        out = None if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None:
@@ -58,6 +69,22 @@ def count(value, name: str, least: int = 1) -> int:
     if out < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     return out
+
+
+def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
+    """``lo`` and ``hi`` as finite float vectors of ``n`` entries (as many as
+    ``lo`` when ``n`` is None) with lo <= hi; errors use the names given."""
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
+    n = lo.size if n is None else n
+    for bound, name in ((lo, lo_name), (hi, hi_name)):
+        if bound.shape != (n,):
+            raise ConfigError(f"{name} must have {n} entries, got {bound.size}")
+        if not np.all(np.isfinite(bound)):
+            raise ConfigError(f"{name} must be finite, got {bound.tolist()}")
+    if np.any(lo > hi):
+        raise ConfigError(f"{lo_name} must not exceed {hi_name}, got {lo.tolist()} and "
+                          f"{hi.tolist()}")
+    return lo, hi
 
 
 class NumericalError(RuntimeError):

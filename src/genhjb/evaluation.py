@@ -17,7 +17,8 @@ import numpy as np
 
 from .dynamics import (ControlAffineSystem, accumulated_cost, generate_dataset,
                        simulate_closed_loop)
-from .errors import ConfigError, DivergenceError, NumericalError, count, positive
+from .errors import (ConfigError, DivergenceError, NumericalError, check_box, count,
+                     positive)
 from .generator import fit
 from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
 from .kernels import KernelSpec
@@ -48,22 +49,6 @@ def run_pipeline(spec: PipelineSpec) -> HjbSolution:
     ds = generate_dataset(bench.system, bench.grid, bench.stage_cost)
     model = fit(ds, spec.kernel, spec.gamma, bench.system.epsilon)
     return solve_fvp(model, bench.pen, spec.hjb)
-
-
-def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
-    """``lo`` and ``hi`` as finite float vectors of ``n`` entries (as many as
-    ``lo`` when ``n`` is None) with lo <= hi; errors use the names given."""
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
-    n = lo.size if n is None else n
-    for bound, name in ((lo, lo_name), (hi, hi_name)):
-        if bound.shape != (n,):
-            raise ConfigError(f"{name} must have {n} entries, got {bound.size}")
-        if not np.all(np.isfinite(bound)):
-            raise ConfigError(f"{name} must be finite, got {bound.tolist()}")
-    if np.any(lo > hi):
-        raise ConfigError(f"{lo_name} must not exceed {hi_name}, got {lo.tolist()} and "
-                          f"{hi.tolist()}")
-    return lo, hi
 
 
 def rmse_to_reference(policy: Callable, reference: Callable, lo, hi,
@@ -155,8 +140,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     Returns a list of dicts with keys value, n_points, rmse, error, in the
     order of ``spec.values``.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = count(jobs, "jobs")
     reference = spec.base.bench.reference_policy()
     if jobs == 1:
         return [_sweep_one(spec, reference, v) for v in spec.values]
@@ -166,9 +150,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
 
 def rollout_steps(duration: float, control_hz: float, sim_dt: float) -> tuple:
     """Simulator steps in ``duration`` and the policy's hold interval in steps."""
-    if not all(0.0 < v < np.inf for v in (duration, control_hz, sim_dt)):
-        raise ConfigError("duration, control_hz and sim_dt must be positive, got "
-                          f"{duration}, {control_hz} and {sim_dt}")
+    duration = positive(duration, "duration")
+    control_hz = positive(control_hz, "control_hz")
+    sim_dt = positive(sim_dt, "sim_dt")
     steps = int(round(duration / sim_dt))
     if steps < 1:
         raise ConfigError(f"duration must span at least one step of sim_dt, got "

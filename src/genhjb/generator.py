@@ -41,7 +41,7 @@ import scipy.linalg
 
 from . import kernels
 from .dynamics import GeneratorDataset
-from .errors import ConditioningError
+from .errors import ConditioningError, positive
 from .kernels import KernelSpec
 from .npzio import load_arrays, require_array, require_meta, save_arrays
 
@@ -115,8 +115,7 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     gamma values transfer across dataset sizes.  A non-finite stage cost
     raises ValueError naming its first point before any matrix is built.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = positive(gamma, "gamma")
     X = dataset.X
     bad = np.flatnonzero(~np.isfinite(dataset.q))
     if bad.size:
@@ -207,7 +206,9 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
     The data points, the operator blocks and the stage cost at the points
     are stored.  The Gram matrix is a function of the kernel and the
     points, so neither it nor a factor of K_gamma is stored, and loading
-    builds neither.
+    builds neither.  The metadata records the smoothed Laplace surrogate's
+    ``kernels.SMOOTHING_RADIUS`` and ``SMOOTHING_RATIO``, which set the
+    targets' diagonal (see ``kernels``).
     """
     meta = {
         "kind": "generator-model",
@@ -215,6 +216,8 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
         "sigma": model.kernel.sigma,
         "gamma": model.gamma,
         "epsilon": model.epsilon,
+        "smoothing_radius": kernels.SMOOTHING_RADIUS,
+        "smoothing_ratio": kernels.SMOOTHING_RATIO,
         "config_hash": config_hash,
     }
     save_arrays(
@@ -229,15 +232,21 @@ def load_model(path):
     """Load a model archive; returns (model, meta).
 
     An archive without one of the model's arrays or metadata entries, or
-    with an array of the wrong shape, raises ValueError naming it.  Older
-    archives also carry the smoothed Laplace surrogate's radius and ratio;
-    those keys are ignored, since the surrogate is fixed in ``kernels``.
+    with an array of the wrong shape, raises ValueError naming it.  So does
+    a recorded surrogate constant that differs from the one in ``kernels``,
+    since the targets were built with it; an archive that records none
+    (written before they were recorded) loads as it is.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "generator-model":
         raise ValueError(f"{path} is not a generator model archive")
     family, sigma, gamma, epsilon = require_meta(
         meta, ("kernel_family", "sigma", "gamma", "epsilon"), path)
+    for key, value in (("smoothing_radius", kernels.SMOOTHING_RADIUS),
+                       ("smoothing_ratio", kernels.SMOOTHING_RATIO)):
+        if meta.get(key, value) != value:
+            raise ValueError(f"{path} metadata {key!r} is {meta[key]!r}, but the "
+                             f"kernels module's is {value!r}; refit the model")
     kernel = KernelSpec(family=family, sigma=sigma)
     X = require_array(arrays, "X", (None, None), path)
     N = X.shape[0]

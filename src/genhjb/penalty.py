@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_box
+
 
 @dataclass(frozen=True)
 class ControlPenalty:
@@ -24,17 +26,11 @@ class ControlPenalty:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.u_min, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.u_max, dtype=float))
-        if w.ndim != 1 or w.shape != lo.shape or w.shape != hi.shape:
-            raise ValueError(
-                f"weights, u_min, u_max must be vectors of equal length, got "
-                f"{w.shape}, {lo.shape}, {hi.shape}"
-            )
+        if w.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {w.shape}")
+        lo, hi = check_box(self.u_min, self.u_max, w.size, "u_min", "u_max")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("penalty weights must be positive and finite")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("control box bounds must be finite")
         if np.any(lo > 0) or np.any(hi < 0):
             raise ValueError("control box must contain u = 0")
         object.__setattr__(self, "weights", w)

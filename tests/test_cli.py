@@ -300,9 +300,10 @@ def test_fractional_integer_is_rejected(pipeline, tmp_path, capsys, key, value, 
     "eval.cost-bench.duration", "eval.cost-bench.control_hz", "system.epsilon",
     "system.u_max", "system.params.a", "cost.params.q_weight",
 ])
-@pytest.mark.parametrize("value", [True, None, "fast"])
+@pytest.mark.parametrize("value", [True, None, "fast", "1e-8"])
 def test_non_number_for_a_float_is_rejected(pipeline, tmp_path, capsys, key, value):
-    # YAML true is a boolean, not 1.0; null and words are no numbers either
+    # YAML true is a boolean, not 1.0; null and words are no numbers either,
+    # nor is 1e-8, which YAML 1.1 reads as a string
     assert _exit_code_with(pipeline, tmp_path, key, value) == 2
     assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
 
@@ -522,6 +523,20 @@ def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_pa
                      str(tmp_path / "s.npz")])
     assert code == 2
     assert "no array 'A_target'" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_model_archive_with_another_surrogate_ratio(pipeline, tmp_path,
+                                                                   capsys):
+    from genhjb.npzio import load_arrays, save_arrays
+    arrays, meta = load_arrays(pipeline["out"] / "model.npz")
+    meta["smoothing_ratio"] = 50.0
+    save_arrays(tmp_path / "other_model.npz", arrays, meta=meta)
+    code = cli.main(["solve", "--config", pipeline["cfg"], "--model",
+                     str(tmp_path / "other_model.npz"), "--solution",
+                     str(tmp_path / "s.npz")])
+    assert code == 2
+    assert "metadata 'smoothing_ratio' is 50.0" in capsys.readouterr().err
+    assert not (tmp_path / "s.npz").exists()
 
 
 def test_solve_rejects_a_model_archive_with_cost_coefficients(pipeline, tmp_path, capsys):

@@ -479,6 +479,23 @@ def test_drift_labels_check_the_plant_shape(drift, input_map, message):
         drift_under_input(sys_, [0.5, 0.5], [0.0])
 
 
+@pytest.mark.parametrize("drift, input_map", [
+    (lambda x: [x[1], 0.0], lambda x: [0.0, 1.0]),
+    (lambda x: 0.0, lambda x: [[0.0], [1.0]]),
+    (lambda x: [x[1], 0.0], lambda x: 1.0),
+], ids=["flat-input-map", "scalar-drift", "scalar-input-map"])
+def test_a_float_in_place_of_a_list_names_the_plant(drift, input_map):
+    # len() of a float raised an untyped TypeError
+    sys_ = _plant_2x1(drift, input_map)
+    message = r"^plant 'misshapen': drift must return 2 floats and input_map 2 rows of 1"
+    with pytest.raises(ValueError, match=message):
+        simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.1, 0.2], dt=0.01, steps=3)
+    with pytest.raises(ValueError, match=message):
+        dataset_from_states(sys_, [[0.5, 0.5]], lambda x: 0.0)
+    with pytest.raises(ValueError, match=message):
+        drift_under_input(sys_, [0.5, 0.5], [0.0])
+
+
 def test_drift_labels_check_the_plant_shape_at_every_state():
     sys_ = _plant_2x1(lambda x: [x[1], 0.0] if x[0] < 1.0 else [x[1]],
                       lambda x: [[0.0], [1.0]])

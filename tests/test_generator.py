@@ -413,14 +413,14 @@ def test_gram_matrix_is_bitwise_symmetric_and_factors_in_place(case):
 
 def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):
     # archives written while the smoothed Laplace surrogate was configurable
-    # carry its radius and ratio; they are ignored on load
+    # carry its ratio under another key, which is ignored on load
     from genhjb.hjb import HjbConfig, solve_fvp
     from genhjb.npzio import load_arrays, save_arrays
     from genhjb.penalty import symmetric_box_penalty
     model = fit(_linear_dataset(n=60), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
     save_model(tmp_path / "m.npz", model)
     arrays, meta = load_arrays(tmp_path / "m.npz")
-    assert "smoothing_radius" not in meta and "smoothing_lengthscale_ratio" not in meta
+    assert "smoothing_lengthscale_ratio" not in meta
     meta.update(smoothing_lengthscale_ratio=100.0, smoothing_radius=1e-8)
     save_arrays(tmp_path / "old.npz", arrays, meta=meta)
     back, _ = load_model(tmp_path / "old.npz")
@@ -430,6 +430,33 @@ def test_archive_with_the_old_smoothing_keys_solves_to_the_same_bits(tmp_path):
     a, b = solve_fvp(model, pen, cfg), solve_fvp(back, pen, cfg)
     np.testing.assert_array_equal(b.v0, a.v0)
     np.testing.assert_array_equal(b.bv0, a.bv0)
+
+
+def test_model_archive_records_the_surrogate_constants(tmp_path):
+    from genhjb.npzio import load_arrays, save_arrays
+    model = fit(_linear_dataset(n=12), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
+    save_model(tmp_path / "m.npz", model)
+    arrays, meta = load_arrays(tmp_path / "m.npz")
+    assert meta["smoothing_radius"] == kernels.SMOOTHING_RADIUS == 1e-8
+    assert meta["smoothing_ratio"] == kernels.SMOOTHING_RATIO == 100.0
+    # an archive written before the constants were recorded loads as it is
+    del meta["smoothing_radius"], meta["smoothing_ratio"]
+    save_arrays(tmp_path / "unrecorded.npz", arrays, meta=meta)
+    back, _ = load_model(tmp_path / "unrecorded.npz")
+    np.testing.assert_array_equal(back.A_target, model.A_target)
+
+
+@pytest.mark.parametrize("key, value", [("smoothing_radius", 1e-6),
+                                        ("smoothing_ratio", 50.0)])
+def test_load_model_rejects_another_surrogate_constant(tmp_path, key, value):
+    from genhjb.npzio import load_arrays, save_arrays
+    save_model(tmp_path / "m.npz", fit(_linear_dataset(n=12), SE1, 1e-6, 0.01))
+    arrays, meta = load_arrays(tmp_path / "m.npz")
+    meta[key] = value
+    save_arrays(tmp_path / "other.npz", arrays, meta=meta)
+    with pytest.raises(ValueError, match=f"metadata '{key}' is {value!r}, but the "
+                                         "kernels module's is"):
+        load_model(tmp_path / "other.npz")
 
 
 @pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q"])

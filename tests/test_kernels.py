@@ -256,6 +256,30 @@ def test_target_matrix_diagonal_uses_surrogate():
     assert M[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("system, sigma, want", [
+    ("pendulum", 25.0, -1.92), ("cartpole", 15.0, -4.44)])
+def test_drift_target_diagonal_is_the_surrogate_hessian_trace(system, sigma, want):
+    # -2 n eps (SMOOTHING_RATIO / sigma)^2 on the pendulum's 12 x 12 grid and
+    # a 300-point cartpole design; <f(x_i), x_i - x_i> is a difference of two
+    # products, so the diagonal holds to rounding, not bitwise
+    from genhjb import make_benchmark
+    from genhjb.dynamics import dataset_from_states
+    from genhjb.systems import cartpole_default_grid, pendulum_default_grid
+    bench = make_benchmark(system)
+    X = (pendulum_default_grid(12, 12).states() if system == "pendulum"
+         else cartpole_default_grid().sample_states(300, seed=1))
+    ds = dataset_from_states(bench.system, X, bench.stage_cost)
+    n, eps = ds.n_x, bench.system.epsilon
+    diag = -2.0 * n * eps * (kernels.SMOOTHING_RATIO / sigma) ** 2
+    assert diag == pytest.approx(want, abs=5e-3)
+    labels = ds.drift_labels
+    _, (T_A, T_B) = kernels._gram_and_targets(
+        KernelSpec("smoothed-laplace", sigma), ds.X, [labels[0], labels[1] - labels[0]], eps)
+    np.testing.assert_allclose(np.diag(T_A), diag, rtol=1e-10, atol=0)
+    # the input target has no eps term: its diagonal is rounding alone
+    assert np.abs(np.diag(T_B)).max() <= 1e-10 * abs(diag)
+
+
 def test_target_matrix_by_small_row_blocks(monkeypatch):
     # three-row blocks: the pointwise test's 12 points make four blocks, the
     # finite-difference cases' up to 8 points end on a ragged block
