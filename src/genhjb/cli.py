@@ -320,7 +320,7 @@ def cmd_eval(args) -> int:
         reference = bench.reference_policy()
         sol = _load_solution_pair(cfg, args)
         rmse = evaluation.rmse_to_reference(
-            lambda x: hjb.policy_at(sol, bench.pen, x), reference, opts["region_lo"],
+            functools.partial(hjb.policy_on, sol, bench.pen), reference, opts["region_lo"],
             opts["region_hi"], n_points=opts["n_points"], seed=cfg.seed,
         )
         out = _out_path(cfg, "summary.json")

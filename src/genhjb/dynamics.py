@@ -391,6 +391,7 @@ def accumulated_cost(states, inputs, stage_cost, pen, dt: float) -> float:
     :func:`simulate_closed_loop` returns them.  ``pen`` may be None for a
     pure state cost.
     """
+    dt = positive(dt, "dt")
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:

@@ -10,7 +10,8 @@ caller keeps the float or int it returns.  The checks kept elsewhere
 follow another rule: the plant's actuator box in
 ``dynamics.ControlAffineSystem`` allows an infinite bound and rejects only
 NaN; the shape checks on the policy-query path (``penalty._lam``,
-``kernels.cross_kernel_vector``) test one array's shape, not its values,
+``kernels.cross_kernel_vector``) and on each block of a policy score
+(``evaluation._batch_inputs``) test one array's shape, not its values,
 on every call; and ``cli._pair`` names the config key it reads.
 """
 import numpy as np
@@ -73,14 +74,17 @@ def count(value, name: str, least: int = 1) -> int:
 
 def check_box(lo, hi, n: int | None, lo_name: str = "lo", hi_name: str = "hi") -> tuple:
     """``lo`` and ``hi`` as finite float vectors of ``n`` entries (as many as
-    ``lo`` when ``n`` is None) with lo <= hi; errors use the names given."""
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
+    ``lo`` when ``n`` is None) with lo <= hi; errors use the names given.
+    Each entry is read by ``number``, so a boolean, a string, NaN or an
+    infinity is rejected."""
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=object)) for b in (lo, hi))
     n = lo.size if n is None else n
+    bounds = []
     for bound, name in ((lo, lo_name), (hi, hi_name)):
         if bound.shape != (n,):
             raise ConfigError(f"{name} must have {n} entries, got {bound.size}")
-        if not np.all(np.isfinite(bound)):
-            raise ConfigError(f"{name} must be finite, got {bound.tolist()}")
+        bounds.append(np.array([number(v, name) for v in bound], dtype=float))
+    lo, hi = bounds
     if np.any(lo > hi):
         raise ConfigError(f"{lo_name} must not exceed {hi_name}, got {lo.tolist()} and "
                           f"{hi.tolist()}")

@@ -2,8 +2,11 @@
 
 A pipeline is dataset -> generator fit -> HJB solve.  Sweeps rerun the
 pipeline while varying one knob (kernel lengthscale or dataset size) and
-score each run against a reference feedback; cost benchmarks roll the
-synthesized policy out under zero-order hold and accumulate running cost.
+score each run against a reference feedback; scoring passes the sampled
+states to the learned policy and the reference in batches (``policy_on``
+and ``Benchmark.reference_policy()``).  Cost benchmarks roll the
+synthesized policy out under zero-order hold, one state per query, and
+accumulate running cost.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,8 +24,8 @@ from .dynamics import (ControlAffineSystem, accumulated_cost, generate_dataset,
 from .errors import (ConfigError, DivergenceError, NumericalError, check_box, count,
                      positive)
 from .generator import fit
-from .hjb import HjbConfig, HjbSolution, policy_at, solve_fvp
-from .kernels import KernelSpec
+from .hjb import HjbConfig, HjbSolution, policy_on, solve_fvp
+from .kernels import KernelSpec, row_blocks
 from .npzio import write_csv
 from .penalty import ControlPenalty
 from .systems import Benchmark
@@ -53,17 +57,40 @@ def run_pipeline(spec: PipelineSpec) -> HjbSolution:
 
 def rmse_to_reference(policy: Callable, reference: Callable, lo, hi,
                       n_points: int = SCORE_POINTS, seed: int = 0) -> float:
-    """Root mean square feedback error over a uniform sample of a box."""
+    """Root mean square feedback error over a uniform sample of a box.
+
+    ``policy`` and ``reference`` are batch maps: each takes an (M, n_x)
+    array of states and returns their inputs as an (M, n_u) array, as
+    ``partial(hjb.policy_on, sol, pen)`` and ``Benchmark.reference_policy()``
+    do.  The sample is scored by ``kernels.row_blocks``, so a kernel
+    policy holds one block's cross-kernel matrix at a time.  An output that
+    is not 2-D with one row per state, or whose shape differs from the
+    other map's, raises ValueError naming the map.
+    """
     lo, hi = check_box(lo, hi, None)
-    count(n_points, "n_points")
+    n_points = count(n_points, "n_points")
     rng = np.random.default_rng(seed)
     X = rng.uniform(lo, hi, size=(n_points, lo.size))
     err2 = 0.0
-    for x in X:
-        d = np.atleast_1d(np.asarray(policy(x), dtype=float)) \
-            - np.atleast_1d(np.asarray(reference(x), dtype=float))
-        err2 += float(d @ d)
+    for rows in row_blocks(n_points):
+        U = _batch_inputs(policy, X[rows], "policy")
+        R = _batch_inputs(reference, X[rows], "reference")
+        if U.shape != R.shape:
+            raise ValueError(f"policy returned shape {U.shape} but reference "
+                             f"returned {R.shape}")
+        d = U - R
+        err2 += float(np.sum(d * d))
     return float(np.sqrt(err2 / n_points))
+
+
+def _batch_inputs(f: Callable, X: np.ndarray, name: str) -> np.ndarray:
+    """``f(X)`` as a float array, checked to be 2-D with one row per state:
+    an (M,) output would broadcast against (M, 1) into an (M, M) error."""
+    U = np.asarray(f(X), dtype=float)
+    if U.ndim != 2 or U.shape[0] != X.shape[0]:
+        raise ValueError(f"{name} must map {X.shape[0]} states to a "
+                         f"({X.shape[0]}, n_u) array, got shape {U.shape}")
+    return U
 
 
 @dataclass(frozen=True)
@@ -126,7 +153,7 @@ def _sweep_one(spec: SweepSpec, reference: Callable, value) -> dict:
     try:
         sol = run_pipeline(pipeline)
         row["rmse"] = rmse_to_reference(
-            lambda x: policy_at(sol, pipeline.bench.pen, x), reference,
+            partial(policy_on, sol, pipeline.bench.pen), reference,
             spec.region_lo, spec.region_hi, spec.n_points, spec.seed,
         )
     except (NumericalError, np.linalg.LinAlgError) as exc:

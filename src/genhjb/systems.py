@@ -213,6 +213,8 @@ def lqr_feedback(A, B, Q, R, u_min, u_max) -> Callable:
     box [u_min, u_max].
 
     P solves the algebraic Riccati equation A'P + PA - P B R^-1 B' P + Q = 0.
+    The feedback maps one state (n_x,) to its inputs (n_u,), or a batch of
+    states (M, n_x) to (M, n_u), row by row.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -221,8 +223,8 @@ def lqr_feedback(A, B, Q, R, u_min, u_max) -> Callable:
     P = scipy.linalg.solve_continuous_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)
 
-    def policy(x):
-        return np.clip(-K @ np.asarray(x, dtype=float), u_min, u_max)
+    def policy(X):
+        return np.clip(np.asarray(X, dtype=float) @ -K.T, u_min, u_max)
     return policy
 
 
@@ -252,7 +254,10 @@ class Benchmark:
     linear: tuple | None = None
 
     def reference_policy(self) -> Callable:
-        """LQR feedback with R = diag(pen.weights), clipped to the penalty's box."""
+        """LQR feedback with R = diag(pen.weights), clipped to the penalty's box.
+
+        It maps one state (n_x,) to (n_u,) or a batch (M, n_x) to (M, n_u),
+        so it serves ``evaluation.rmse_to_reference`` as it is."""
         if self.linear is None:
             raise ConfigError(
                 f"mode needs a closed-form reference; system {self.system.name!r} has none"

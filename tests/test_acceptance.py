@@ -6,6 +6,7 @@ the pendulum, and a few minutes for the cartpole run.
 """
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from genhjb.evaluation import (CostBenchSpec, PipelineSpec, SweepSpec,
                                rmse_to_reference, run_cost_bench,
                                run_pipeline, run_sweep)
 from genhjb.generator import solve_regularized, target_kernel_matrix
-from genhjb.hjb import (HjbConfig, policy_at, smoothed_policy_at, solve_fvp,
+from genhjb.hjb import (HjbConfig, policy_on, smoothed_policy_at, solve_fvp,
                         value_on)
 from genhjb.kernels import fd_check_derivatives
 from genhjb.penalty import dual_value, symmetric_box_penalty
@@ -39,8 +40,8 @@ def test_criterion_1_linear_1d_tracks_riccati_policy():
     # p^2 - 2p - 3 = 0, p = 3, optimal feedback u*(x) = -3x
     t0 = time.perf_counter()
     sol = run_pipeline(_linear_1d_base(1.0))
-    rmse = rmse_to_reference(lambda x: policy_at(sol, PEN5, x),
-                             lambda x: -3.0 * x, [-1.0], [1.0],
+    rmse = rmse_to_reference(partial(policy_on, sol, PEN5),
+                             lambda X: -3.0 * X, [-1.0], [1.0],
                              n_points=1000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = rmse <= 0.1
@@ -63,7 +64,7 @@ def test_criterion_2_linear_2d_tracks_care_feedback():
                         kernel=KernelSpec("squared-exponential", 3.0),
                         gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=1000))
     sol = run_pipeline(spec)
-    rmse = rmse_to_reference(lambda x: policy_at(sol, PEN5, x), reference,
+    rmse = rmse_to_reference(partial(policy_on, sol, PEN5), reference,
                              [-1.0, -1.0], [1.0, 1.0], n_points=2000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = rmse <= 0.15

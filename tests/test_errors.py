@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from genhjb import KernelSpec, fit, kernels, make_benchmark
-from genhjb.dynamics import (ControlAffineSystem, StateGridSpec, generate_dataset,
-                             simulate_closed_loop)
+from genhjb.dynamics import (ControlAffineSystem, StateGridSpec, accumulated_cost,
+                             generate_dataset, simulate_closed_loop)
 from genhjb.errors import ConfigError
-from genhjb.evaluation import PipelineSpec, SweepSpec, rollout_steps, run_sweep
+from genhjb.evaluation import (PipelineSpec, SweepSpec, rmse_to_reference, rollout_steps,
+                               run_sweep)
 from genhjb.hjb import HjbConfig
 from genhjb.penalty import ControlPenalty
 
@@ -27,6 +28,10 @@ def _plant(epsilon):
     return ControlAffineSystem(name="p", n_x=1, n_u=1, drift=lambda x: [x[0]],
                                input_map=lambda x: [[1.0]], u_min=[-1.0], u_max=[1.0],
                                epsilon=epsilon)
+
+
+def _score(lo=0.0, hi=1.0, n_points=3):
+    return rmse_to_reference(lambda X: X, lambda X: X, [lo], [hi], n_points=n_points)
 
 
 def _rollout(**kw):
@@ -50,6 +55,9 @@ SITES = {
     "control_hz": ("control_hz", "positive", lambda v: rollout_steps(1.0, v, 1e-3)),
     "sim_dt": ("sim_dt", "positive", lambda v: rollout_steps(1.0, 10.0, v)),
     "sweep-jobs": ("jobs", "count", lambda v: run_sweep(SWEEP, jobs=v)),
+    "cost-dt": ("dt", "positive", lambda v: accumulated_cost(
+        np.zeros((2, 1)), np.zeros((1, 1)), lambda x: 1.0, LINEAR_1D.pen, v)),
+    "score-n_points": ("n_points", "count", lambda v: _score(n_points=v)),
 }
 # below each rule's range: 0 for a count or a positive number, -1 for a
 # nonnegative one
@@ -78,6 +86,7 @@ BOX_SITES = {
              lambda lo, hi: StateGridSpec(bounds=((lo, hi),), counts=(3,))),
     "penalty": ("u_min", "u_max",
                 lambda lo, hi: ControlPenalty(weights=[1.0], u_min=[lo], u_max=[hi])),
+    "score": ("lo", "hi", _score),
 }
 
 
@@ -89,6 +98,21 @@ BOX_SITES = {
     (1.0, -1.0, "{lo} must not exceed {hi}"),
 ], ids=["nan-lo", "inf-hi", "minus-inf-lo", "empty"])
 def test_a_bad_box_is_a_config_error_naming_the_bound(site, lo, hi, message):
+    lo_name, hi_name, call = BOX_SITES[site]
+    with pytest.raises(ConfigError, match="^" + message.format(lo=lo_name, hi=hi_name)):
+        call(lo, hi)
+
+
+@pytest.mark.parametrize("site", BOX_SITES)
+@pytest.mark.parametrize("lo, hi, message", [
+    (True, 2.0, "{lo} must be a number, got True"),
+    (0.0, "2.0", "{hi} must be a number, got '2.0'"),
+    (np.bool_(False), 1.0, "{lo} must be a number"),
+    (0.0, None, "{hi} must be a number, got None"),
+], ids=["bool-lo", "string-hi", "numpy-bool-lo", "none-hi"])
+def test_a_box_bound_must_be_a_number(site, lo, hi, message):
+    # each entry was read by np.asarray(..., dtype=float), which took True
+    # as 1.0 and "2.0" as 2.0
     lo_name, hi_name, call = BOX_SITES[site]
     with pytest.raises(ConfigError, match="^" + message.format(lo=lo_name, hi=hi_name)):
         call(lo, hi)

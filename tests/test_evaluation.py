@@ -1,10 +1,15 @@
 """Pipelines, policy accuracy metrics, sweeps, and rollout benchmarks."""
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genhjb import KernelSpec, fit, make_benchmark
 from genhjb.dynamics import (ControlAffineSystem, StateGridSpec,
@@ -14,8 +19,10 @@ from genhjb.evaluation import (CostBenchSpec, PipelineSpec, SweepSpec,
                                rmse_to_reference, run_cost_bench,
                                run_pipeline, run_sweep, write_costs_csv,
                                write_summary_json, write_sweep_csv)
-from genhjb.hjb import HjbConfig, policy_at, solve_fvp
+from genhjb.hjb import HjbConfig, policy_on, solve_fvp
+from genhjb.kernels import BLOCK_ROWS
 from genhjb.penalty import symmetric_box_penalty
+from genhjb.systems import lqr_feedback
 
 SE1 = KernelSpec("squared-exponential", 1.0)
 PEN = symmetric_box_penalty([0.5], 5.0)
@@ -35,16 +42,16 @@ def test_rmse_identical_policies_is_zero():
 
 
 def test_rmse_constant_offset():
-    f = lambda x: np.array([0.0])
-    g = lambda x: np.array([0.1])
+    f = lambda X: np.zeros((len(X), 1))
+    g = lambda X: np.full((len(X), 1), 0.1)
     got = rmse_to_reference(f, g, [-1.0], [1.0], n_points=200)
     assert got == pytest.approx(0.1, rel=1e-12)
     assert rmse_to_reference(g, f, [-1.0], [1.0], n_points=200) == got
 
 
 def test_rmse_vector_channels_combine_in_quadrature():
-    f = lambda x: np.array([0.3, -0.4])
-    g = lambda x: np.zeros(2)
+    f = lambda X: np.tile([0.3, -0.4], (len(X), 1))
+    g = lambda X: np.zeros((len(X), 2))
     got = rmse_to_reference(f, g, [-1.0, -1.0], [1.0, 1.0], n_points=64)
     assert got == pytest.approx(0.5, rel=1e-12)
 
@@ -61,12 +68,86 @@ def test_rmse_seed_controls_the_sample():
 
 def test_rmse_validation():
     f = lambda x: x
+    g = lambda x: x * x
     with pytest.raises(ValueError):
         rmse_to_reference(f, f, [1.0], [-1.0])
     with pytest.raises(ValueError):
         rmse_to_reference(f, f, [0.0], [1.0], n_points=0)
     with pytest.raises(ValueError):
         rmse_to_reference(f, f, [0.0, 0.0], [1.0])
+    with pytest.raises(ConfigError, match="n_points must be an integer"):
+        rmse_to_reference(f, f, [0.0], [1.0], n_points=5.5)
+    # an integral float is the int it equals, not an untyped TypeError
+    assert rmse_to_reference(f, g, [0.0], [1.0], n_points=5.0) \
+        == rmse_to_reference(f, g, [0.0], [1.0], n_points=5)
+
+
+@pytest.mark.parametrize("policy, reference, message", [
+    (lambda X: X[:, 0], lambda X: X, r"^policy must map 7 states to a \(7, n_u\) array, "
+                                     r"got shape \(7,\)"),
+    (lambda X: X, lambda X: X[:1], r"^reference must map 7 states .* got shape \(1, 1\)"),
+    (lambda X: X, lambda X: np.zeros((len(X), 2)),
+     r"^policy returned shape \(7, 1\) but reference returned \(7, 2\)"),
+], ids=["flat-policy", "short-reference", "channel-mismatch"])
+def test_rmse_rejects_a_misshapen_batch(policy, reference, message):
+    # a flat (M,) output would broadcast against (M, 1) into an (M, M)
+    # error matrix and give a wrong rmse without any error
+    with pytest.raises(ValueError, match=message):
+        rmse_to_reference(policy, reference, [0.0], [1.0], n_points=7)
+
+
+def _affine(W, b):
+    """X -> X W' + b by elementwise terms, so a row's bits do not depend on
+    the other rows of its batch."""
+    W, b = np.asarray(W), np.asarray(b)
+    return lambda X: b + sum(X[:, i:i + 1] * W[:, i] for i in range(W.shape[1]))
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Two affine maps with n_u in {1, 2} and a box, on 1 to 3 states."""
+    n_x, n_u = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    entries = hnp.arrays(float, (2, n_u, n_x + 1), elements=st.floats(-3.0, 3.0))
+    Wb = draw(entries)
+    lo = draw(hnp.arrays(float, n_x, elements=st.floats(-3.0, 3.0)))
+    width = draw(hnp.arrays(float, n_x, elements=st.floats(0.0, 4.0)))
+    maps = [_affine(Wb[k, :, :n_x], Wb[k, :, n_x]) for k in range(2)]
+    return maps, lo, lo + width
+
+
+@pytest.mark.parametrize("n_points", [BLOCK_ROWS, 3 * BLOCK_ROWS, BLOCK_ROWS + 1, 7, 100])
+@settings(max_examples=40, deadline=None)
+@given(case=_scoring_cases(), seed=st.integers(0, 2**16))
+def test_batched_rmse_matches_a_per_point_loop(n_points, case, seed):
+    (policy, reference), lo, hi = case
+    got = rmse_to_reference(policy, reference, lo, hi, n_points=n_points, seed=seed)
+    # the same sample, scored one state at a time
+    X = np.random.default_rng(seed).uniform(lo, hi, size=(n_points, lo.size))
+    err2 = 0.0
+    for x in X:
+        d = policy(x[None, :])[0] - reference(x[None, :])[0]
+        err2 += float(d @ d)
+    assert got == pytest.approx(math.sqrt(err2 / n_points), rel=1e-12, abs=0.0)
+
+
+def test_scoring_holds_one_block_of_the_cross_kernel_at_a_time():
+    # 20 000 states against a 900-point model: the whole cross-kernel matrix
+    # would be 144 MB, and scoring holds BLOCK_ROWS of its rows at a time
+    bench = make_benchmark("linear-2d")
+    sol = run_pipeline(PipelineSpec(bench=bench, kernel=KernelSpec("squared-exponential", 3.0),
+                                    gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=5)))
+    assert sol.model.n_points == 900
+    policy, reference = partial(policy_on, sol, bench.pen), bench.reference_policy()
+    n_points = 20_000
+    tracemalloc.start()
+    try:
+        got = rmse_to_reference(policy, reference, [-1.0, -1.0], [1.0, 1.0],
+                                n_points=n_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(got)
+    assert peak < 0.05 * 900 * n_points * 8
 
 
 def test_run_pipeline_matches_manual_composition():
@@ -88,6 +169,22 @@ def test_linear_1d_reference_is_the_riccati_feedback():
         np.testing.assert_allclose(reference([x]), [-3.0 * x], rtol=0, atol=1e-14)
 
 
+def test_lqr_feedback_on_a_batch_equals_its_rows():
+    # a three-state, two-input plant whose box clips both channels
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5]])
+    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    reference = lqr_feedback(A, B, np.eye(3), np.eye(2), [-2.0, -3.0], [2.0, 3.0])
+    X = np.random.default_rng(1).uniform(-3.0, 3.0, size=(200, 3))
+    U = reference(X)
+    assert U.shape == (200, 2)
+    assert np.any(np.abs(U) == [2.0, 3.0], axis=0).all()
+    np.testing.assert_allclose(U, [reference(x) for x in X], rtol=1e-14, atol=1e-14)
+    reference = make_benchmark("linear-2d").reference_policy()
+    X = X[:, :2]
+    np.testing.assert_allclose(reference(X), [reference(x) for x in X],
+                               rtol=1e-14, atol=1e-14)
+
+
 def test_regularization_bias_grows_with_gamma():
     # heavier ridge drags the fitted generator toward zero, so the policy
     # drifts away from the true linear feedback
@@ -95,7 +192,7 @@ def test_regularization_bias_grows_with_gamma():
     err = {}
     for gamma in (1e-8, 1e-2):
         sol = run_pipeline(_spec(gamma=gamma))
-        err[gamma] = rmse_to_reference(lambda x: policy_at(sol, PEN, x),
+        err[gamma] = rmse_to_reference(partial(policy_on, sol, PEN),
                                        reference, [-1.0], [1.0], n_points=300)
     assert err[1e-8] < 0.1
     assert err[1e-2] > 2.0 * err[1e-8]
@@ -152,7 +249,7 @@ def test_single_value_sweep_equals_direct_pipeline():
     assert rows[0]["error"] is None
     direct = run_pipeline(replace(base, kernel=KernelSpec(
         "squared-exponential", 0.7)))
-    want = rmse_to_reference(lambda x: policy_at(direct, PEN, x),
+    want = rmse_to_reference(partial(policy_on, direct, PEN),
                              LINEAR_1D.reference_policy(), [-1.0], [1.0],
                              n_points=100, seed=3)
     assert rows[0]["rmse"] == want
