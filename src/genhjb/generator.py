@@ -16,21 +16,27 @@ operator under input u is A-hat + sum_j u_j B-hat_j.
 
 The model stores what the HJB step of :mod:`genhjb.hjb` multiplies by,
 (K_gamma - dt T_A) w_{m+1} = K_gamma w_m + dt q(X) + dt D_r(C w_m), not
-A-hat itself: the drift target T_A = K_gamma A-hat, B-hat_j, C_j = K B-hat_j
-= T_Bj - N gamma B-hat_j, formed in place from the input target T_Bj after
-its solve, and the stage cost q(X) at the data points as the dataset gives
-it.  A fit costs one Cholesky factor and one solve with N right-hand sides
-per input, about (1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as
-K_gamma^{-1} (T_A h), O(N^2) per vector.
+A-hat itself: the drift target T_A = K_gamma A-hat, C_j = K B-hat_j =
+T_Bj - N gamma K_gamma^{-1} T_Bj, formed in place from the input target
+T_Bj, and the stage cost q(X) at the data points as the dataset gives it.
+B-hat_j is not stored: the model keeps the input-map samples G_j = g_j(X),
+N n_x numbers per channel, and ``apply_b_hat`` forms B-hat_j v = K_gamma^{-1} (T_Bj v)
+with T_Bj v streamed from G by row blocks.  A fit costs one Cholesky
+factor and one solve with N right-hand sides per input, about
+(1/3 + 2 n_u) N^3 flops; A-hat is applied on demand as K_gamma^{-1} (T_A h),
+O(N^2) per vector.
 
-K_gamma is factored in K's own buffer: cdist makes K bitwise symmetric,
-so its Fortran-ordered transpose is the same matrix, and LAPACK factors
-it in place.  Each B-hat_j is solved in place, in its own C-ordered slice:
-K_gamma B = T is B^T K_gamma = T^T, two right-side triangular solves on
-the slice's Fortran-ordered transpose with no copy of the target.  At its
-peak a fit holds the factor, the 1 + n_u targets and B-hat, (2 + 2 n_u)
-N^2 doubles.  The model keeps neither the factor nor the Gram matrix: K
-is rebuilt from the kernel and X where a step needs it.
+The distances are built by row blocks beside K, so no N x N distance
+array exists, and K_gamma is factored in K's own buffer: cdist makes K
+bitwise symmetric, so its Fortran-ordered transpose is the same matrix,
+and LAPACK factors it in place.  Each C_j is formed in T_Bj's own slice by ``SOLVE_BLOCKS``
+column blocks: a block is copied once, solved with K_gamma in the copy,
+and N gamma times the solution is subtracted from the block in place, so
+B-hat_j never exists whole.  At its peak a fit holds the factor, the
+1 + n_u targets and one column block, (2 + n_u + 1 / SOLVE_BLOCKS) N^2
+doubles; the model keeps (1 + n_u) N^2, T_A and the C_j, and neither the
+factor nor the Gram matrix: K is rebuilt from the kernel and X where a
+step needs it.
 """
 from __future__ import annotations
 
@@ -44,6 +50,10 @@ from .dynamics import GeneratorDataset
 from .errors import ConditioningError, positive
 from .kernels import KernelSpec
 from .npzio import load_arrays, require_array, require_meta, save_arrays
+
+# the ridge solve of each input target runs on this many column blocks,
+# so its buffer is N^2 / SOLVE_BLOCKS doubles
+SOLVE_BLOCKS = 8
 
 
 def target_kernel_matrix(kernel: KernelSpec, X, drift, epsilon: float) -> np.ndarray:
@@ -61,11 +71,14 @@ class GeneratorModel:
 
     ``A_target`` is the drift channel's target T_A = K_gamma A-hat, so the
     zero-input generator on coefficient vectors is K_gamma^{-1} A_target.
-    ``B_hat[j]`` is the correction per unit input channel and ``KB_hat[j]``
-    its product K B_hat[j] with the Gram matrix.  ``q`` is the stage cost
-    at each data point, the dataset's values bit for bit.  The model is
-    plain data: neither the Gram matrix nor a factor of K_gamma is stored;
-    ``K`` rebuilds the former on each access.
+    ``G[j]`` holds input channel j's map g_j at the data points, shape
+    (n_u, N, n_x); its target T_Bj = K_gamma B-hat_j is rebuilt from it by
+    row blocks where needed (``apply_b_hat``).  ``KB_hat[j]`` is the
+    product K B-hat_j with the Gram matrix, the only N x N block stored per
+    channel.  ``q`` is the stage cost at each data point, the dataset's
+    values bit for bit.  The model is plain data: neither the Gram matrix
+    nor a factor of K_gamma is stored; ``K`` rebuilds the former on each
+    access.
     """
 
     kernel: KernelSpec
@@ -73,7 +86,7 @@ class GeneratorModel:
     gamma: float
     epsilon: float
     A_target: np.ndarray
-    B_hat: np.ndarray
+    G: np.ndarray
     KB_hat: np.ndarray
     q: np.ndarray
 
@@ -88,7 +101,7 @@ class GeneratorModel:
 
     @property
     def n_u(self) -> int:
-        return self.B_hat.shape[0]
+        return self.KB_hat.shape[0]
 
 
 def _factor_kgamma(K: np.ndarray, gamma: float):
@@ -112,8 +125,12 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     """Fit the generator operator blocks from a drift dataset.
 
     The ridge parameter enters as N gamma on the Gram diagonal, so tabulated
-    gamma values transfer across dataset sizes.  A non-finite stage cost
-    raises ValueError naming its first point before any matrix is built.
+    gamma values transfer across dataset sizes.  The model keeps T_A, each
+    C_j = K B-hat_j and the input-map samples G (the label differences);
+    B-hat_j is solved one column block at a time and dropped, so the fit
+    peaks at (2 + n_u + 1 / SOLVE_BLOCKS) N^2 doubles.  A non-finite stage
+    cost raises ValueError naming its first point before any matrix is
+    built.
     """
     gamma = positive(gamma, "gamma")
     X = dataset.X
@@ -123,24 +140,27 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     N = X.shape[0]
     labels = dataset.drift_labels
     # channel j's label is f + g_j, so the difference is g_j
-    K, targets = kernels._gram_and_targets(
-        kernel, X, [labels[0]] + [labels[j + 1] - labels[0] for j in range(dataset.n_u)],
-        epsilon)
+    G = labels[1:] - labels[0]
+    K, targets = kernels._gram_and_targets(kernel, X, [labels[0], *G], epsilon)
     L = _factor_kgamma(K, gamma)[0]
     trsm = scipy.linalg.blas.dtrsm
-    B_hat = np.empty((dataset.n_u, N, N))
     KB_hat = targets[1:]
-    for j in range(dataset.n_u):
-        # B_hat_j^T = T_Bj^T L^-T L^-1 in the Fortran view of B_hat_j's slice
-        Bt = B_hat[j].T
-        Bt[...] = KB_hat[j].T
-        trsm(1.0, L, Bt, side=1, lower=1, trans_a=1, overwrite_b=1)
-        trsm(1.0, L, Bt, side=1, lower=1, overwrite_b=1)
-        # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
-        scipy.linalg.blas.daxpy(B_hat[j].ravel(), KB_hat[j].ravel(), a=-N * gamma)
+    width = -(-N // SOLVE_BLOCKS)
+    buf = np.empty((N, width), order="F")
+    for C in KB_hat:
+        for start in range(0, N, width):
+            cols = slice(start, start + width)
+            # K_gamma^-1 T_Bj = L^-T L^-1 T_Bj on a Fortran copy of the block
+            B = buf[:, :min(width, N - start)]
+            B[...] = C[:, cols]
+            trsm(1.0, L, B, lower=1, overwrite_b=1)
+            trsm(1.0, L, B, lower=1, trans_a=1, overwrite_b=1)
+            # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
+            B *= -N * gamma
+            C[:, cols] += B
     return GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
-        A_target=targets[0], B_hat=B_hat, KB_hat=KB_hat, q=dataset.q,
+        A_target=targets[0], G=G, KB_hat=KB_hat, q=dataset.q,
     )
 
 
@@ -161,11 +181,23 @@ def solve_regularized(model: GeneratorModel, rhs: np.ndarray) -> np.ndarray:
     return _cho_solve(_factor_kgamma(model.K, model.gamma), rhs)
 
 
+def apply_b_hat(model: GeneratorModel, v) -> np.ndarray:
+    """B-hat_j v for every input channel j, shape (n_u, N).
+
+    B-hat_j v = K_gamma^{-1} (T_Bj v): T_Bj v is streamed from G by row
+    blocks in the pass that builds a fresh Gram matrix, which is then
+    factored in place, so the call holds one N x N array.
+    """
+    K, TBv = kernels._gram_and_target_products(model.kernel, model.X, model.G, v)
+    return np.ascontiguousarray(_cho_solve(_factor_kgamma(K, model.gamma), TBv.T).T)
+
+
 def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
     """Apply the learned generator under input u to an RKHS function at x.
 
     ``h_coeff`` are the coefficients of h = sum_i h_i k(x_i, .); the result
-    is (L-hat_u h)(x).  The zero vector selects the uncontrolled generator.
+    is (L-hat_u h)(x), with one solve of T_A h + sum_j u_j T_Bj h.  The
+    zero vector selects the uncontrolled generator.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (model.n_u,):
@@ -173,10 +205,10 @@ def generator_apply(model: GeneratorModel, u, h_coeff, x) -> float:
     h_coeff = np.asarray(h_coeff, dtype=float)
     if h_coeff.shape != (model.n_points,):
         raise ValueError(f"h_coeff must have shape ({model.n_points},)")
-    coeff = solve_regularized(model, model.A_target @ h_coeff)
-    for j in range(model.n_u):
-        if u[j] != 0.0:
-            coeff += u[j] * (model.B_hat[j] @ h_coeff)
+    K, TBh = kernels._gram_and_target_products(model.kernel, model.X, model.G, h_coeff)
+    rhs = model.A_target @ h_coeff
+    rhs += u @ TBh
+    coeff = _cho_solve(_factor_kgamma(K, model.gamma), rhs)
     return float(coeff @ kernels.cross_kernel_vector(model.kernel, model.X, x))
 
 
@@ -203,10 +235,11 @@ def min_eig_estimate(model: GeneratorModel) -> float:
 def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> None:
     """Serialize a fitted model to a byte-stable .npz archive.
 
-    The data points, the operator blocks and the stage cost at the points
-    are stored.  The Gram matrix is a function of the kernel and the
-    points, so neither it nor a factor of K_gamma is stored, and loading
-    builds neither.  The metadata records the smoothed Laplace surrogate's
+    The data points, the input-map samples G, the operator blocks T_A and
+    K B-hat_j and the stage cost at the points are stored.  The Gram matrix
+    is a function of the kernel and the points, and B-hat_j of those and
+    G, so none of them nor a factor of K_gamma is stored, and loading
+    builds none.  The metadata records the smoothed Laplace surrogate's
     ``kernels.SMOOTHING_RADIUS`` and ``SMOOTHING_RATIO``, which set the
     targets' diagonal (see ``kernels``).
     """
@@ -222,7 +255,7 @@ def save_model(path, model: GeneratorModel, config_hash: str | None = None) -> N
     }
     save_arrays(
         path,
-        {"X": model.X, "A_target": model.A_target, "B_hat": model.B_hat,
+        {"X": model.X, "A_target": model.A_target, "G": model.G,
          "KB_hat": model.KB_hat, "q": model.q},
         meta=meta,
     )
@@ -232,7 +265,9 @@ def load_model(path):
     """Load a model archive; returns (model, meta).
 
     An archive without one of the model's arrays or metadata entries, or
-    with an array of the wrong shape, raises ValueError naming it.  So does
+    with an array of the wrong shape, raises ValueError naming it; an
+    archive that stores B-hat in place of G (written before G was stored)
+    is one without G.  So does
     a recorded surrogate constant that differs from the one in ``kernels``,
     since the targets were built with it; an archive that records none
     (written before they were recorded) loads as it is.
@@ -249,10 +284,11 @@ def load_model(path):
                              f"kernels module's is {value!r}; refit the model")
     kernel = KernelSpec(family=family, sigma=sigma)
     X = require_array(arrays, "X", (None, None), path)
-    N = X.shape[0]
-    B_hat = require_array(arrays, "B_hat", (None, N, N), path)
-    blocks = {name: require_array(arrays, name, shape, path) for name, shape in (
-        ("A_target", (N, N)), ("KB_hat", B_hat.shape), ("q", (N,)))}
+    N, n_x = X.shape
+    A_target = require_array(arrays, "A_target", (N, N), path)
+    KB_hat = require_array(arrays, "KB_hat", (None, N, N), path)
+    G = require_array(arrays, "G", (KB_hat.shape[0], N, n_x), path)
     model = GeneratorModel(
-        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, B_hat=B_hat, **blocks)
+        kernel=kernel, X=X, gamma=gamma, epsilon=epsilon, A_target=A_target, G=G,
+        KB_hat=KB_hat, q=require_array(arrays, "q", (N,), path))
     return model, meta

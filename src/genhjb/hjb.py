@@ -39,8 +39,16 @@ the LU array, which BLAS runs on every thread, and only its diagonal block
 goes through a (single-threaded) triangular solve, on a copy made once at
 setup.  So a step costs about as much as 2 + n_u products.  Setup holds F
 and the diagonal blocks, N^2 (1 + 1 / panels) doubles, on top of the model
-(T_A, B-hat and K B-hat, (1 + 2 n_u) N^2); what else it builds, it builds
-by ``kernels.row_blocks``.
+(T_A and K B-hat, (1 + n_u) N^2); what else it builds, it builds by
+``kernels.row_blocks``.
+
+The policy needs B-hat_j v0 (``HjbSolution.bv0``), and the model stores no
+B-hat.  Once the last step is taken, the solve drops F and the panel
+copies, then forms K_gamma^{-1} (T_Bj v0) with T_Bj v0 streamed from the
+input-map samples and one Cholesky factor of a fresh Gram matrix
+(``generator.apply_b_hat``).  That factor takes F's place, so a solve peaks
+at F and the panel copies beside the model, and pays one Cholesky, about
+N^3 / 3 flops, for not storing n_u N^2 doubles.
 """
 from __future__ import annotations
 
@@ -52,7 +60,7 @@ import scipy.linalg
 
 from . import kernels, penalty as penalty_mod
 from .errors import DivergenceError, StepSizeError, count, positive
-from .generator import GeneratorModel
+from .generator import GeneratorModel, apply_b_hat
 from .npzio import load_arrays, require_array, require_meta, save_arrays, write_csv
 from .penalty import ControlPenalty
 
@@ -78,8 +86,9 @@ class HjbConfig:
 class HjbSolution:
     """Solved value function and the pieces needed to evaluate feedback.
 
-    ``v0`` are the value coefficients at initial time; ``bv0[j] = B-hat_j v0``
-    gives the policy's dual variables via kernel evaluation.
+    ``v0`` are the value coefficients at initial time; ``bv0[j] = B-hat_j v0
+    = K_gamma^{-1} (T_Bj v0)`` gives the policy's dual variables via kernel
+    evaluation.
     """
 
     model: GeneratorModel
@@ -167,7 +176,8 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
     """Integrate the HJB final-value problem backward over the horizon.
 
     ``pen`` None drops the control term and solves the uncontrolled
-    (linear) cost accumulation problem.
+    (linear) cost accumulation problem.  The solve holds F and its panel
+    copies while it steps, then one Gram matrix for ``bv0``, never both.
     """
     if pen is not None and pen.n_u != model.n_u:
         raise ValueError(f"penalty has {pen.n_u} channels, model has {model.n_u}")
@@ -203,8 +213,9 @@ def solve_fvp(model: GeneratorModel, pen: ControlPenalty | None,
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(f"HJB iterate diverged at step {m}", step=m)
 
-    bv0 = np.stack([model.B_hat[j] @ w for j in range(model.n_u)], axis=0)
-    return HjbSolution(model=model, config=config, v0=w, bv0=bv0)
+    # F's LU and panel copies go before apply_b_hat builds a Gram matrix
+    del solve_step
+    return HjbSolution(model=model, config=config, v0=w, bv0=apply_b_hat(model, w))
 
 
 def value_at(sol: HjbSolution, x) -> float:
@@ -215,7 +226,11 @@ def value_at(sol: HjbSolution, x) -> float:
 
 def value_on(sol: HjbSolution, X) -> np.ndarray:
     """Value function estimate on a batch of states (M, n_x) -> (M,)."""
-    Kc = kernels.cross_kernel_matrix(sol.model.kernel, sol.model.X, X)
+    return _value_from(sol, kernels.cross_kernel_matrix(sol.model.kernel, sol.model.X, X))
+
+
+def _value_from(sol: HjbSolution, Kc) -> np.ndarray:
+    """Values at the states whose kernel columns against the data are Kc."""
     return Kc.T @ sol.v0
 
 
@@ -231,7 +246,11 @@ def policy_at(sol: HjbSolution, pen: ControlPenalty, x) -> np.ndarray:
 
 def policy_on(sol: HjbSolution, pen: ControlPenalty, X) -> np.ndarray:
     """Feedback inputs on a batch of states (M, n_x) -> (M, n_u)."""
-    Kc = kernels.cross_kernel_matrix(sol.model.kernel, sol.model.X, X)
+    return _policy_from(sol, pen, kernels.cross_kernel_matrix(sol.model.kernel, sol.model.X, X))
+
+
+def _policy_from(sol: HjbSolution, pen: ControlPenalty, Kc) -> np.ndarray:
+    """Inputs at the states whose kernel columns against the data are Kc."""
     return penalty_mod.u_star(pen, (sol.bv0 @ Kc).T)
 
 
@@ -251,11 +270,17 @@ def write_value_policy_csv(path, sol: HjbSolution, pen: ControlPenalty, states,
                            config_hash: str | None = None) -> None:
     """Tabulate value and feedback on given states as CSV.
 
-    Columns: state coordinates, value, one input per channel.
+    Columns: state coordinates, value, one input per channel.  The states
+    go by ``kernels.row_blocks``, one kernel block serving the value and
+    the inputs, so no N x M array is built.
     """
     states = np.asarray(states, dtype=float)
-    V = value_on(sol, states)
-    U = policy_on(sol, pen, states)
+    V = np.empty(len(states))
+    U = np.empty((len(states), sol.model.n_u))
+    for b in kernels.row_blocks(len(states)):
+        Kc = kernels.cross_kernel_matrix(sol.model.kernel, sol.model.X, states[b])
+        V[b] = _value_from(sol, Kc)
+        U[b] = _policy_from(sol, pen, Kc)
     cols = [f"x_{i}" for i in range(1, states.shape[1] + 1)] + ["v"]
     cols += [f"u_{j}" for j in range(1, U.shape[1] + 1)]
     write_csv(path, cols, np.column_stack([states, V, U]), config_hash)

@@ -44,8 +44,8 @@ FAMILIES = (SQUARED_EXPONENTIAL, SMOOTHED_LAPLACE)
 SMOOTHING_RADIUS = 1e-8
 SMOOTHING_RATIO = 100.0
 # rows per block of the passes that sweep an N x N kernel array by rows
-# (the generator targets here, the HJB step matrix's setup in hjb), so
-# that their temporaries stay O(N)
+# (distances, the Gram matrix and the generator targets here, the HJB step
+# matrix's setup in hjb), so that their temporaries stay O(N)
 BLOCK_ROWS = 32
 
 
@@ -207,39 +207,80 @@ def _gram_and_targets(k: KernelSpec, X, fields, epsilon: float):
 
     Returns K and a (len(fields), N, N) array whose slice f is the target of
     field f: entry (i, j) is <F[i], grad_x1 k(X[i], X[j])> plus, for the
-    first field only, epsilon tr hess_x1 k(X[i], X[j]).  All of them come
-    from one distance pass and one kernel evaluation, and each is built in
-    its own slice from one product F X^T.  The terms and the finiteness
-    test run by ``row_blocks``, so their temporaries stay O(N) beside D, K
-    and the targets.  A non-finite target entry raises
-    NumericalDomainError.
+    first field only, epsilon tr hess_x1 k(X[i], X[j]).  Each is built in
+    its own slice from one product F X^T.  Distances, kernel values, the
+    terms and the finiteness test run by ``row_blocks``, one distance block
+    serving every field, so the temporaries stay O(N) beside K and the
+    targets.  A non-finite target entry raises NumericalDomainError.
     """
     epsilon = nonnegative(epsilon, "epsilon")
     X = _check_points(X)
     N, n = X.shape
-    D = _distances(k, X, X)
-    K = _value(k, D)
-    targets = np.empty((len(fields),) + K.shape)
-    for f, field in enumerate(fields):
-        F = np.asarray(field, dtype=float)
-        if F.shape != X.shape:
-            raise ValueError(f"field shape {F.shape} does not match points {X.shape}")
-        # bad labels surface as the error below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = np.matmul(F, X.T, out=targets[f])
-            FX = np.einsum("ij,ij->i", F, X)[:, None]
-            for rows in row_blocks(N):
-                # <F_i, x_i - x_j> for the block's pairs, without forming
-                # the (N, N, n) tensor
-                T = np.subtract(FX[rows], M[rows], out=M[rows])
-                _generator_terms(k, D[rows], K[rows], T, 0.0 if f else epsilon, n)
-                if not np.all(np.isfinite(T)):
-                    i, j = np.argwhere(~np.isfinite(T))[0]
-                    i += rows.start
-                    raise NumericalDomainError(
-                        f"non-finite target matrix entry at ({i}, {j})",
-                        where=(int(i), int(j)))
+    fields = [_check_field(F, X) for F in fields]
+    K = np.empty((N, N))
+    targets = np.empty((len(fields), N, N))
+    # bad labels surface as the error below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        FX = [np.einsum("ij,ij->i", F, X)[:, None] for F in fields]
+        for f, F in enumerate(fields):
+            np.matmul(F, X.T, out=targets[f])
+        for rows in row_blocks(N):
+            D = _distances(k, X[rows], X)
+            kv = _value(k, D, out=K[rows])
+            for f in range(len(fields)):
+                _target_rows(k, D, kv, FX[f][rows], targets[f][rows], rows,
+                             0.0 if f else epsilon, n)
     return K, targets
+
+
+def _gram_and_target_products(k: KernelSpec, X, fields, v):
+    """Gram matrix of X and T_f v for each drift field f, shape (len(fields), N).
+
+    T_f is the field's target from ``_gram_and_targets`` without a
+    diffusion term, built here by ``row_blocks`` with the same per-entry
+    arithmetic and never whole, each distance block serving K and every
+    field, so the temporaries stay O(N) beside K.  A non-finite target
+    entry raises NumericalDomainError.
+    """
+    X = _check_points(X)
+    N, n = X.shape
+    fields = [_check_field(F, X) for F in fields]
+    K = np.empty((N, N))
+    products = np.empty((len(fields), N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        FX = [np.einsum("ij,ij->i", F, X)[:, None] for F in fields]
+        for rows in row_blocks(N):
+            D = _distances(k, X[rows], X)
+            kv = _value(k, D, out=K[rows])
+            for f, F in enumerate(fields):
+                T = _target_rows(k, D, kv, FX[f][rows], F[rows] @ X.T, rows, 0.0, n)
+                products[f, rows] = T @ v
+    return K, products
+
+
+def _check_field(F, X) -> np.ndarray:
+    F = np.asarray(F, dtype=float)
+    if F.shape != X.shape:
+        raise ValueError(f"field shape {F.shape} does not match points {X.shape}")
+    return F
+
+
+def _target_rows(k: KernelSpec, D, kv, FX, M, rows, epsilon: float, n: int) -> np.ndarray:
+    """Overwrite M, rows ``rows`` of F X^T, with those rows of F's target.
+
+    D and kv are the rows' distances and kernel values, FX the rows'
+    <F_i, x_i>, so FX - M is <F_i, x_i - x_j> without the (N, N, n)
+    tensor; n is the state dimension.  A non-finite entry raises
+    NumericalDomainError with its global index.
+    """
+    T = np.subtract(FX, M, out=M)
+    _generator_terms(k, D, kv, T, epsilon, n)
+    if not np.all(np.isfinite(T)):
+        i, j = np.argwhere(~np.isfinite(T))[0]
+        i += rows.start
+        raise NumericalDomainError(f"non-finite target matrix entry at ({i}, {j})",
+                                   where=(int(i), int(j)))
+    return T
 
 
 def fd_check_derivatives(k: KernelSpec, x, y, h: float = 1e-5) -> dict:

@@ -223,11 +223,13 @@ def test_criterion_7_module_invariant_spot_checks(tmp_path):
     assert np.max(np.abs(kgamma @ A_hat - k0)) <= 1e-8
 
     # semi-implicit two-step recursion against hand-computed iterates; with
-    # K = 1 and K_gamma = 2, the stage cost 2.0 is the cost coefficient 1
+    # K = 1 and K_gamma = 2, the stage cost 2.0 is the cost coefficient 1.
+    # The steps read the input block as K B-hat = 2; at one point an input
+    # map's target is zero, so G is too
     from genhjb.generator import GeneratorModel
     toy = GeneratorModel(
         kernel=k1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
-        A_target=np.array([[-1.0]]), B_hat=np.array([[[2.0]]]),
+        A_target=np.array([[-1.0]]), G=np.zeros((1, 1, 1)),
         KB_hat=np.array([[[2.0]]]), q=np.array([2.0]),
     )
     sol = solve_fvp(toy, symmetric_box_penalty([0.5], 1.0),

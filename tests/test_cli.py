@@ -515,7 +515,7 @@ def test_solve_rejects_a_model_archive_without_the_drift_target(pipeline, tmp_pa
     # a model archive from before the drift target was stored holds A_hat
     from genhjb.npzio import load_arrays, save_arrays
     arrays, meta = load_arrays(pipeline["out"] / "model.npz")
-    old = {"X": arrays["X"], "A_hat": arrays["A_target"], "B_hat": arrays["B_hat"],
+    old = {"X": arrays["X"], "A_hat": arrays["A_target"], "B_hat": arrays["KB_hat"],
            "q_coeff": arrays["q"]}
     save_arrays(tmp_path / "old_model.npz", old, meta=meta)
     code = cli.main(["solve", "--config", pipeline["cfg"], "--model",
@@ -551,6 +551,27 @@ def test_solve_rejects_a_model_archive_with_cost_coefficients(pipeline, tmp_path
                      str(tmp_path / "s.npz")])
     assert code == 2
     assert "no array 'q'" in capsys.readouterr().err
+    assert not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("mode", ["solve", "eval"])
+def test_a_model_archive_with_b_hat_in_place_of_g_is_rejected(pipeline, tmp_path, capsys,
+                                                              mode):
+    # a model archive from before the input-map samples G were stored holds
+    # B-hat, an N x N block per channel, in their place
+    from genhjb.npzio import load_arrays, save_arrays
+    arrays, meta = load_arrays(pipeline["out"] / "model.npz")
+    del arrays["G"]
+    arrays["B_hat"] = np.zeros_like(arrays["KB_hat"])
+    save_arrays(tmp_path / "old_model.npz", arrays, meta=meta)
+    args = ["--config", pipeline["cfg"], "--model", str(tmp_path / "old_model.npz")]
+    if mode == "solve":
+        args = ["solve", *args, "--solution", str(tmp_path / "s.npz")]
+    else:
+        args = ["eval", "--mode", "rmse", *args, "--solution",
+                str(pipeline["out"] / "solution.npz")]
+    assert cli.main(args) == 2
+    assert "no array 'G'" in capsys.readouterr().err
     assert not (tmp_path / "s.npz").exists()
 
 

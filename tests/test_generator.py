@@ -98,12 +98,13 @@ def test_fit_zero_input_map_gives_zero_b():
     from genhjb.dynamics import GeneratorDataset
     ds = GeneratorDataset(X=X, drift_labels=labels, q=np.zeros(8))
     model = fit(ds, SE1, 1e-6, 0.0)
-    np.testing.assert_allclose(model.B_hat[0], 0.0, atol=1e-12)
+    np.testing.assert_array_equal(model.G[0], 0.0)
     np.testing.assert_allclose(model.KB_hat[0], 0.0, atol=1e-12)
 
 
 def test_fit_residual_identities():
-    # K_gamma A = K_0 and K_gamma B_j = K_{e_j} - K_0 within 1e-8 relative
+    # K_gamma A = K_0, K_gamma B_j = K_{e_j} - K_0 and K_gamma C_j = K B_j
+    # within 1e-8 relative, B_j applied to a vector
     bench = make_benchmark("pendulum")
     X = bench.grid.states()[::12]
     ds = dataset_from_states(bench.system, X, bench.stage_cost)
@@ -115,7 +116,12 @@ def test_fit_residual_identities():
     dT = target_kernel_matrix(k, model.X, ds.drift_labels[1], 0.02) - T0
     A_hat = solve_regularized(model, model.A_target)
     assert np.linalg.norm(Kg @ A_hat - T0) <= 1e-8 * np.linalg.norm(T0)
-    assert np.linalg.norm(Kg @ model.B_hat[0] - dT) <= 1e-8 * np.linalg.norm(dT)
+    np.testing.assert_array_equal(model.G[0], ds.drift_labels[1] - ds.drift_labels[0])
+    v = np.random.default_rng(0).standard_normal(N)
+    Bv = generator.apply_b_hat(model, v)[0]
+    assert np.linalg.norm(Kg @ Bv - dT @ v) <= 1e-8 * np.linalg.norm(dT @ v)
+    KdT = model.K @ dT
+    assert np.linalg.norm(Kg @ model.KB_hat[0] - KdT) <= 1e-8 * np.linalg.norm(KdT)
 
 
 def test_fit_matches_dense_inverse_small_n():
@@ -148,10 +154,29 @@ def test_fit_stores_drift_target_and_k_times_b(family):
     model = fit(ds, k, 1e-8, 0.05)
     np.testing.assert_array_equal(
         model.A_target, target_kernel_matrix(k, ds.X, ds.drift_labels[0], 0.05))
-    assert model.KB_hat.shape == model.B_hat.shape == (2, 80, 80)
-    for j in range(2):
-        KB = model.K @ model.B_hat[j]
+    assert model.KB_hat.shape == (2, 80, 80) and model.G.shape == (2, 80, 2)
+    for j, B in enumerate(_dense_b_hat(model)):
+        KB = model.K @ B
         assert np.linalg.norm(model.KB_hat[j] - KB) <= 1e-10 * np.linalg.norm(KB)
+
+
+def test_fit_by_small_column_blocks_gives_the_same_bits(monkeypatch):
+    # one column per block, and blocks that leave a ragged last block
+    ds = _two_input_dataset()
+    k = KernelSpec("smoothed-laplace", 1.0)
+    want = fit(ds, k, 1e-8, 0.05)
+    for blocks in (80, 3):
+        monkeypatch.setattr(generator, "SOLVE_BLOCKS", blocks)
+        got = fit(ds, k, 1e-8, 0.05)
+        assert np.array_equal(got.KB_hat, want.KB_hat)
+
+
+def _dense_b_hat(model):
+    """B-hat_j = K_gamma^{-1} T_Bj by dense solves, T_Bj built whole from G_j."""
+    N = model.n_points
+    Kg = model.K + N * model.gamma * np.eye(N)
+    return np.stack([np.linalg.solve(Kg, target_kernel_matrix(model.kernel, model.X, G, 0.0))
+                     for G in model.G])
 
 
 def test_generator_apply_matches_dense_form():
@@ -159,18 +184,20 @@ def test_generator_apply_matches_dense_form():
     model = fit(ds, KernelSpec("smoothed-laplace", 1.0), 1e-6, 0.05)
     N = model.n_points
     A_hat = np.linalg.solve(model.K + N * 1e-6 * np.eye(N), model.A_target)
+    B_hat = _dense_b_hat(model)
     rng = np.random.default_rng(0)
     for u in ([0.0, 0.0], [0.7, -1.3]):
         h = rng.standard_normal(N)
         x = rng.uniform(-1, 1, 2)
-        coeff = A_hat @ h + sum(u[j] * (model.B_hat[j] @ h) for j in range(2))
+        coeff = A_hat @ h + sum(u[j] * (B_hat[j] @ h) for j in range(2))
         want = coeff @ kernels.cross_kernel_vector(model.kernel, model.X, x)
         assert generator_apply(model, u, h, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_fit_computes_distances_once(monkeypatch):
     # K, the A-hat target with its diffusion term and the B-hat target all
-    # come from one distance pass
+    # come from one distance pass, by row blocks: each pair's distance is
+    # computed once
     calls = []
     cdist = kernels.cdist
 
@@ -181,9 +208,10 @@ def test_fit_computes_distances_once(monkeypatch):
     monkeypatch.setattr(kernels, "cdist", counting_cdist)
     for k in (SE1, KernelSpec("smoothed-laplace", 2.0)):
         calls.clear()
-        model = fit(_linear_dataset(n=20), k, 1e-6, 0.01)
+        model = fit(_linear_dataset(n=70), k, 1e-6, 0.01)
         assert model.n_u == 1
-        assert len(calls) == 1
+        assert sum(len(X) for X, Y, _ in calls) == 70
+        assert all(len(Y) == 70 for X, Y, _ in calls)
 
 
 def test_fit_shrinks_with_gamma():
@@ -253,7 +281,7 @@ def test_model_archive_roundtrip_and_byte_stability(tmp_path):
     assert back.gamma == model.gamma and back.epsilon == model.epsilon
     np.testing.assert_array_equal(back.X, model.X)
     np.testing.assert_array_equal(back.A_target, model.A_target)
-    np.testing.assert_array_equal(back.B_hat, model.B_hat)
+    np.testing.assert_array_equal(back.G, model.G)
     np.testing.assert_array_equal(back.KB_hat, model.KB_hat)
     np.testing.assert_array_equal(back.q, model.q)
     save_model(p2, back, config_hash="beef")
@@ -273,11 +301,10 @@ def test_reloaded_model_solves_to_the_same_bits(tmp_path):
     np.testing.assert_array_equal(b.bv0, a.bv0)
 
 
-def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
-    # neither the HJB solve nor the policy needs the Cholesky factor, so a
-    # loaded model is factored only by a solve with K_gamma, which keeps
-    # no factor
-    from genhjb import generator
+def test_loaded_model_factors_k_gamma_once_per_solve(tmp_path, monkeypatch):
+    # loading and the policy need no Cholesky factor, and the HJB solve
+    # factors K_gamma once, for bv0, after its last step; each solve with
+    # K_gamma keeps no factor
     from genhjb.hjb import HjbConfig, policy_at, solve_fvp
     from genhjb.penalty import symmetric_box_penalty
     model = fit(_linear_dataset(n=60), KernelSpec("smoothed-laplace", 3.0), 1e-8, 0.01)
@@ -286,16 +313,18 @@ def test_loaded_model_solves_without_factoring_k_gamma(tmp_path, monkeypatch):
     cfg = HjbConfig(dt=0.02, horizon_steps=50)
     want = solve_fvp(model, pen, cfg)
 
+    calls = []
     factor = generator._factor_kgamma
-    def refuse(*args):
-        raise AssertionError("K_gamma was factored")
-    monkeypatch.setattr(generator, "_factor_kgamma", refuse)
+    monkeypatch.setattr(generator, "_factor_kgamma",
+                        lambda *a: calls.append(1) or factor(*a))
     back, _ = load_model(tmp_path / "m.npz")
+    assert not calls
     got = solve_fvp(back, pen, cfg)
+    assert len(calls) == 1
     assert np.array_equal(got.v0, want.v0) and np.array_equal(got.bv0, want.bv0)
     assert np.array_equal(policy_at(got, pen, [0.3]), policy_at(want, pen, [0.3]))
+    assert len(calls) == 1
 
-    monkeypatch.setattr(generator, "_factor_kgamma", factor)
     rhs = np.linspace(-1.0, 1.0, 60)
     assert np.array_equal(solve_regularized(back, rhs), solve_regularized(model, rhs))
     assert generator_apply(back, [1.0], want.v0, [0.3]) \
@@ -312,7 +341,7 @@ def test_load_model_builds_no_gram_matrix(tmp_path, monkeypatch):
         raise AssertionError("cdist was called")
     monkeypatch.setattr(kernels, "cdist", refuse)
     back, _ = load_model(tmp_path / "m.npz")
-    for name in ("X", "A_target", "B_hat", "KB_hat", "q"):
+    for name in ("X", "A_target", "G", "KB_hat", "q"):
         np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
 
 
@@ -360,7 +389,7 @@ def test_model_is_plain_data_and_solves_keep_no_factor(monkeypatch):
     ds = _linear_dataset(n=30)
     model = fit(ds, SE1, 1e-6, 0.01)
     assert [f.name for f in fields(model)] == [
-        "kernel", "X", "gamma", "epsilon", "A_target", "B_hat", "KB_hat", "q"]
+        "kernel", "X", "gamma", "epsilon", "A_target", "G", "KB_hat", "q"]
     assert np.array_equal(model.q, ds.q)
     calls = []
     factor = generator._factor_kgamma
@@ -459,7 +488,7 @@ def test_load_model_rejects_another_surrogate_constant(tmp_path, key, value):
         load_model(tmp_path / "other.npz")
 
 
-@pytest.mark.parametrize("name", ["X", "A_target", "B_hat", "KB_hat", "q"])
+@pytest.mark.parametrize("name", ["X", "A_target", "G", "KB_hat", "q"])
 def test_load_model_names_a_missing_or_misshapen_array(tmp_path, name):
     from genhjb.npzio import load_arrays, save_arrays
     model = fit(_linear_dataset(n=12), SE1, 1e-6, 0.01)

@@ -8,7 +8,7 @@ import scipy.linalg
 from genhjb import KernelSpec, fit, hjb, kernels
 from genhjb.dynamics import StateGridSpec, generate_dataset
 from genhjb.errors import DivergenceError, StepSizeError
-from genhjb.generator import GeneratorModel
+from genhjb.generator import GeneratorModel, target_kernel_matrix
 from genhjb.hjb import (HjbConfig, HjbSolution, load_solution, policy_at,
                         policy_on, save_solution, smoothed_policy_at,
                         solve_fvp, value_at, value_on, write_value_policy_csv)
@@ -20,12 +20,14 @@ SE1 = KernelSpec("squared-exponential", 1.0)
 
 def _toy_model(a, b=0.0, q=0.0):
     """One-point model with K = 1, gamma = 1 (so K_gamma = 2), the scalar
-    blocks A-hat = a, B-hat = b and the cost coefficient q, which puts the
-    stage cost K_gamma q at the point."""
+    blocks A-hat = a, K B-hat = b and the cost coefficient q, which puts the
+    stage cost K_gamma q at the point.  An input map's target vanishes at a
+    single point (x - x = 0), so G is zero and the steps see b only through
+    K B-hat."""
     K, kgamma = 1.0, 2.0
     return GeneratorModel(
         kernel=SE1, X=np.array([[0.0]]), gamma=1.0, epsilon=0.0,
-        A_target=np.array([[kgamma * a]]), B_hat=np.array([[[float(b)]]]),
+        A_target=np.array([[kgamma * a]]), G=np.zeros((1, 1, 1)),
         KB_hat=np.array([[[K * b]]]), q=np.array([kgamma * q]),
     )
 
@@ -79,7 +81,6 @@ def test_semi_implicit_two_steps_hand_recursion():
     w1, w2 = (solve_fvp(model, pen, HjbConfig(dt=0.1, horizon_steps=m)) for m in (1, 2))
     assert w1.v0[0] == pytest.approx(0.09523809523809523, rel=1e-14)
     assert w2.v0[0] == pytest.approx(0.18507720548536874, rel=1e-14)
-    assert w2.bv0[0, 0] == pytest.approx(2.0 * w2.v0[0], rel=1e-15)
 
 
 def test_step_size_error_on_singular_step_matrix():
@@ -98,7 +99,7 @@ def test_step_size_error_on_inaccurate_inverse():
     S = np.array([[0.1, 0.7], [0.3, 2.1 + 3e-13]])
     model = GeneratorModel(
         kernel=SE1, X=np.array([[0.0], [100.0]]), gamma=0.5, epsilon=0.0,
-        A_target=2.0 * (np.eye(2) - S) / dt, B_hat=np.zeros((1, 2, 2)),
+        A_target=2.0 * (np.eye(2) - S) / dt, G=np.zeros((1, 2, 1)),
         KB_hat=np.zeros((1, 2, 2)), q=np.array([2.0, 6.0]),
     )
     with pytest.raises(StepSizeError, match="ill-conditioned"):
@@ -128,10 +129,27 @@ def test_control_term_overflow_raises_divergence():
     assert info.value.step == 2
 
 
+# a two-input box penalty for the fitted two-input models
+PEN2 = ControlPenalty(weights=[0.5, 2.0], u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
+
+
+def _two_input_dataset(N, seed=2):
+    """A rotation drift with a constant and a state-dependent input column
+    on N random points of the square."""
+    from genhjb.dynamics import GeneratorDataset
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(N, 2))
+    f = np.stack([X[:, 1], -X[:, 0]], axis=1)
+    g1 = np.stack([np.ones(N), np.zeros(N)], axis=1)
+    g2 = np.stack([X[:, 0], np.ones(N)], axis=1)
+    return GeneratorDataset(X=X, drift_labels=np.stack([f, f + g1, f + g2]),
+                            q=np.sum(X**2, axis=1))
+
+
 def _imex_oracle(model, pen, dt, steps):
     """The IMEX recursion with dense solves on I - dt A and on K_gamma:
-    (I - dt A) w_{m+1} = w_m + dt K_gamma^{-1} (q(X) + D_r(K B_j w_m)),
-    with A = K_gamma^{-1} T_A from one more dense solve."""
+    (I - dt A) w_{m+1} = w_m + dt K_gamma^{-1} (q(X) + D_r(C_j w_m)),
+    with A = K_gamma^{-1} T_A from one more dense solve and C_j = K B_j."""
     N = model.n_points
     Kg = model.K + N * model.gamma * np.eye(N)
     S = np.eye(N) - dt * np.linalg.solve(Kg, model.A_target)
@@ -140,12 +158,20 @@ def _imex_oracle(model, pen, dt, steps):
     for _ in range(steps):
         rhs = w + dt * q
         if pen is not None:
-            lam = np.stack([model.K @ (B @ w) for B in model.B_hat], axis=1)
+            lam = (model.KB_hat @ w).T
             u = np.clip(-lam / (2.0 * pen.weights), pen.u_min, pen.u_max)
             dr = np.sum(pen.weights * u**2 + lam * u, axis=1)
             rhs = rhs + dt * np.linalg.solve(Kg, dr)
         w = np.linalg.solve(S, rhs)
     return w
+
+
+def _dense_b_hat(model):
+    """B-hat_j = K_gamma^{-1} T_Bj by dense solves, T_Bj built whole from G_j."""
+    N = model.n_points
+    Kg = model.K + N * model.gamma * np.eye(N)
+    return np.stack([np.linalg.solve(Kg, target_kernel_matrix(model.kernel, model.X, G, 0.0))
+                     for G in model.G])
 
 
 def _random_two_input_model(N=40, gamma=1e-3, seed=7):
@@ -154,11 +180,13 @@ def _random_two_input_model(N=40, gamma=1e-3, seed=7):
     K = kernels.gram_matrix(SE1, X)
     Kg = K + N * gamma * np.eye(N)
     A = -np.eye(N) + 0.3 * rng.standard_normal((N, N)) / np.sqrt(N)
-    B = rng.standard_normal((2, N, N)) / np.sqrt(N)
-    return GeneratorModel(
-        kernel=SE1, X=X, gamma=gamma, epsilon=0.0,
-        A_target=Kg @ A, B_hat=B, KB_hat=K @ B, q=Kg @ rng.uniform(0.5, 1.5, N),
+    model = GeneratorModel(
+        kernel=SE1, X=X, gamma=gamma, epsilon=0.0, A_target=Kg @ A,
+        G=0.1 * rng.standard_normal((2, N, 2)), KB_hat=np.zeros((2, N, N)),
+        q=Kg @ rng.uniform(0.5, 1.5, N),
     )
+    model.KB_hat = K @ _dense_b_hat(model)
+    return model
 
 
 @pytest.mark.parametrize("with_penalty", [False, True])
@@ -176,12 +204,25 @@ def test_solve_matches_dense_oracle_with_two_inputs():
     sol = solve_fvp(model, pen, HjbConfig(dt=0.05, horizon_steps=60))
     want = _imex_oracle(model, pen, 0.05, 60)
     assert np.max(np.abs(sol.v0 - want)) <= 1e-10 * np.max(np.abs(want))
-    np.testing.assert_allclose(sol.bv0, model.B_hat @ sol.v0, rtol=1e-12)
+    want = _dense_b_hat(model) @ sol.v0
+    assert np.max(np.abs(sol.bv0 - want)) <= 1e-10 * np.max(np.abs(want))
     # both channels reach the box and both are interior somewhere
     U = np.clip(-(model.K @ sol.bv0.T) / (2.0 * pen.weights), pen.u_min, pen.u_max)
     for j in range(2):
         on_box = (U[:, j] == pen.u_min[j]) | (U[:, j] == pen.u_max[j])
         assert on_box.any() and not on_box.all()
+
+
+def test_bv0_matches_dense_solve_on_fitted_two_input_model():
+    # bv0_j = K_gamma^{-1} (T_Bj v0), with T_Bj built whole from G_j
+    model = fit(_two_input_dataset(60), SE1, 1e-6, 0.01)
+    sol = solve_fvp(model, PEN2, HjbConfig(dt=0.02, horizon_steps=50))
+    N = model.n_points
+    Kg = model.K + N * model.gamma * np.eye(N)
+    for j in range(2):
+        T_B = target_kernel_matrix(model.kernel, model.X, model.G[j], 0.0)
+        want = np.linalg.solve(Kg, T_B @ sol.v0)
+        assert np.max(np.abs(sol.bv0[j] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("with_penalty", [False, True])
@@ -217,17 +258,8 @@ def test_panel_solve_matches_lu_solve(N):
     assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def test_fit_and_solve_hold_four_n_squared_arrays_at_most():
-    # the fit peaks at the two targets, B-hat and the Cholesky factor, built
-    # in K's own buffer, and the model keeps no factor, only T_A, B-hat and
-    # K B-hat; the HJB setup adds F and the copies of
-    # its diagonal panel blocks, and the steps only vectors
-    sys_ = linear_1d_system(a=-1.0, epsilon=0.01)
-    grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(600,))
-    ds = generate_dataset(sys_, grid, lambda x: 1.5 * float(x[0]) ** 2)
-    N = ds.n_points
-    n2 = 8.0 * N * N
-    pen = symmetric_box_penalty([0.5], 5.0)
+def _peaks(ds, pen):
+    """tracemalloc peaks of fit and solve_fvp, and the bytes the model holds."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -240,10 +272,39 @@ def test_fit_and_solve_hold_four_n_squared_arrays_at_most():
         solve_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert fit_peak <= 4.25 * n2
-    assert held <= 3.0 * n2 + 8.0 * 64 * N
+    return fit_peak, held, solve_peak
+
+
+def _assert_solve_peak(solve_peak, N):
+    # F and the copies of its diagonal panel blocks, and the steps only
+    # vectors; the Gram matrix factored for bv0 is built after F is freed,
+    # or the peak would pass F + N^2
     blocks = sum((e - s) ** 2 for s, e in hjb._panels(N))
     assert solve_peak <= 8.0 * (N * N + blocks) + 8.0 * 64 * N
+
+
+def test_fit_and_solve_hold_three_n_squared_arrays_at_most():
+    # the fit peaks at the two targets, the Cholesky factor, built in K's
+    # own buffer, and one column block of the ridge solve (N^2 / 8); the
+    # model keeps no factor and no B-hat, only T_A and K B-hat
+    sys_ = linear_1d_system(a=-1.0, epsilon=0.01)
+    grid = StateGridSpec(bounds=((-2.0, 2.0),), counts=(600,))
+    ds = generate_dataset(sys_, grid, lambda x: 1.5 * float(x[0]) ** 2)
+    N = ds.n_points
+    n2 = 8.0 * N * N
+    fit_peak, held, solve_peak = _peaks(ds, symmetric_box_penalty([0.5], 5.0))
+    assert fit_peak <= 3.25 * n2
+    assert held <= 2.0 * n2 + 8.0 * 64 * N
+    _assert_solve_peak(solve_peak, N)
+
+
+def test_each_further_input_channel_holds_one_more_n_squared_array():
+    N = 600
+    n2 = 8.0 * N * N
+    fit_peak, held, solve_peak = _peaks(_two_input_dataset(N), PEN2)
+    assert fit_peak <= 4.25 * n2
+    assert held <= 3.0 * n2 + 8.0 * 64 * N
+    _assert_solve_peak(solve_peak, N)
 
 
 def test_penalty_channel_mismatch_rejected():

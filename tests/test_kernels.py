@@ -314,3 +314,21 @@ def test_nonfinite_target_reports_its_global_index(rows, monkeypatch):
     with pytest.raises(NumericalDomainError, match=r"\(7, 4\)") as info:
         target_kernel_matrix(SE2, X, F, 0.0)
     assert info.value.where == (7, 4)
+
+
+@pytest.mark.parametrize("k", [SE2, LAP1])
+@pytest.mark.parametrize("rows", [7, kernels.BLOCK_ROWS])
+def test_gram_and_target_products_match_the_whole_targets(k, rows, monkeypatch):
+    # the Gram matrix is the same bits; each product is the input target,
+    # built whole without its diffusion term, times the vector
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-2, 2, size=(40, 3))
+    X[[5, 17]] = X[[0, 33]]
+    fields = [rng.normal(size=X.shape) for _ in range(2)]
+    v = rng.standard_normal(40)
+    K, got = kernels._gram_and_target_products(k, X, fields, v)
+    assert np.array_equal(K, kernels.gram_matrix(k, X))
+    for f, F in enumerate(fields):
+        want = target_kernel_matrix(k, X, F, 0.0) @ v
+        np.testing.assert_allclose(got[f], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
