@@ -8,6 +8,7 @@ recover G(x) column by column, which is all the generator fit needs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -427,24 +428,23 @@ def write_dataset(path, ds: GeneratorDataset, config_hash: str | None = None) ->
 def read_dataset(path):
     """Read a dataset CSV written by :func:`write_dataset`.
 
-    Returns (dataset, config_hash) where the hash is None if absent.  A
-    non-finite entry is a ConfigError naming its data row (1 is the first
-    row after the header) and column.
+    Returns (dataset, config_hash) where the hash, from a comment before
+    the header, is None if absent.  ``np.loadtxt`` parses the rows and skips
+    comment and blank lines.  A non-finite entry is a ConfigError naming its
+    data row (1 is the first row after the header) and column.
     """
     config_hash = None
-    with open(path, newline="") as fh:
-        lines = []
-        for raw in fh:
+    with open(path) as fh:
+        for skip, raw in enumerate(fh, 1):
             if raw.startswith("#"):
                 stripped = raw[1:].strip()
                 if stripped.startswith("config_hash="):
                     config_hash = stripped.split("=", 1)[1]
-                continue
-            if raw.strip():
-                lines.append(raw)
-    if not lines:
-        raise ConfigError(f"dataset file {path} has no content")
-    header = [c.strip() for c in lines[0].split(",")]
+            elif raw.strip():
+                break
+        else:
+            raise ConfigError(f"dataset file {path} has no content")
+    header = [c.strip() for c in raw.split(",")]
     n_x = sum(1 for c in header if c.startswith("x_"))
     if n_x == 0 or header[-1] != "q":
         raise ConfigError(f"unrecognized dataset header in {path}")
@@ -456,12 +456,13 @@ def read_dataset(path):
         raise ConfigError(f"dataset header in {path} does not match expected layout")
 
     try:
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
-        )
+        with warnings.catch_warnings():
+            # no data rows load as shape (0, 1), which the check below rejects
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=skip)
     except ValueError as exc:
         raise ConfigError(f"malformed numeric row in {path}: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise ConfigError(f"dataset rows in {path} do not match the header")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

@@ -266,7 +266,7 @@ def write_sweep_csv(path, rows, config_hash: str | None = None) -> None:
 
 def write_costs_csv(path, result, config_hash: str | None = None) -> None:
     """Per-rollout costs as CSV (NaN marks an excluded rollout)."""
-    write_csv(path, ["rollout", "cost"], enumerate(result["costs"]), config_hash)
+    write_csv(path, ["rollout", "cost"], list(enumerate(result["costs"])), config_hash)
 
 
 def write_summary_json(path, payload: dict, config_hash: str | None = None) -> None:

@@ -29,14 +29,15 @@ O(N^2) per vector.
 The distances are built by row blocks beside K, so no N x N distance
 array exists, and K_gamma is factored in K's own buffer: cdist makes K
 bitwise symmetric, so its Fortran-ordered transpose is the same matrix,
-and LAPACK factors it in place.  Each C_j is formed in T_Bj's own slice by ``SOLVE_BLOCKS``
-column blocks: a block is copied once, solved with K_gamma in the copy,
-and N gamma times the solution is subtracted from the block in place, so
-B-hat_j never exists whole.  At its peak a fit holds the factor, the
-1 + n_u targets and one column block, (2 + n_u + 1 / SOLVE_BLOCKS) N^2
-doubles; the model keeps (1 + n_u) N^2, T_A and the C_j, and neither the
-factor nor the Gram matrix: K is rebuilt from the kernel and X where a
-step needs it.
+and LAPACK factors it in place.  Each C_j is formed in T_Bj's own slice
+by ``SOLVE_BLOCKS`` column blocks: ``scipy.linalg.cho_solve`` (LAPACK
+``dpotrs``) solves a Fortran copy of a block with K_gamma, N gamma times
+the solution is subtracted from the block in place, and the copy is freed
+before the next one is made, so B-hat_j never exists whole.  At its peak
+a fit holds the factor, the 1 + n_u targets and one column block,
+(2 + n_u + 1 / SOLVE_BLOCKS) N^2 doubles; the model keeps (1 + n_u) N^2,
+T_A and the C_j, and neither the factor nor the Gram matrix: K is rebuilt
+from the kernel and X where a step needs it.
 """
 from __future__ import annotations
 
@@ -142,22 +143,18 @@ def fit(dataset: GeneratorDataset, kernel: KernelSpec, gamma: float,
     # channel j's label is f + g_j, so the difference is g_j
     G = labels[1:] - labels[0]
     K, targets = kernels._gram_and_targets(kernel, X, [labels[0], *G], epsilon)
-    L = _factor_kgamma(K, gamma)[0]
-    trsm = scipy.linalg.blas.dtrsm
+    cho = _factor_kgamma(K, gamma)
     KB_hat = targets[1:]
     width = -(-N // SOLVE_BLOCKS)
-    buf = np.empty((N, width), order="F")
     for C in KB_hat:
         for start in range(0, N, width):
             cols = slice(start, start + width)
-            # K_gamma^-1 T_Bj = L^-T L^-1 T_Bj on a Fortran copy of the block
-            B = buf[:, :min(width, N - start)]
-            B[...] = C[:, cols]
-            trsm(1.0, L, B, lower=1, overwrite_b=1)
-            trsm(1.0, L, B, lower=1, trans_a=1, overwrite_b=1)
-            # K B_hat_j = T_Bj - N gamma B_hat_j, overwriting T_Bj in place
-            B *= -N * gamma
-            C[:, cols] += B
+            # K B_hat_j = T_Bj - N gamma K_gamma^-1 T_Bj, overwriting T_Bj in
+            # place; B is freed before the next block is copied
+            B = scipy.linalg.cho_solve(cho, C[:, cols], check_finite=False)
+            B *= N * gamma
+            C[:, cols] -= B
+            del B
     return GeneratorModel(
         kernel=kernel, X=X, gamma=gamma, epsilon=epsilon,
         A_target=targets[0], G=G, KB_hat=KB_hat, q=dataset.q,

@@ -37,10 +37,11 @@ The LU solve runs by panels of about ``PANEL_ROWS`` rows: in each sweep a
 panel's off-diagonal part is one matrix-vector product on a column view of
 the LU array, which BLAS runs on every thread, and only its diagonal block
 goes through a (single-threaded) triangular solve, on a copy made once at
-setup.  So a step costs about as much as 2 + n_u products.  Setup holds F
-and the diagonal blocks, N^2 (1 + 1 / panels) doubles, on top of the model
-(T_A and K B-hat, (1 + n_u) N^2); what else it builds, it builds by
-``kernels.row_blocks``.
+setup.  On a 2-core machine the panel solve alone costs 2.0 to 2.8
+products at N = 900 and 1.7 to 2.2 at N = 2500, so a step costs about as
+much as 3 + n_u products.  Setup holds F and the diagonal blocks,
+N^2 (1 + 1 / panels) doubles, on top of the model (T_A and K B-hat,
+(1 + n_u) N^2); what else it builds, it builds by ``kernels.row_blocks``.
 
 The policy needs B-hat_j v0 (``HjbSolution.bv0``), and the model stores no
 B-hat.  Once the last step is taken, the solve drops F and the panel
@@ -142,18 +143,17 @@ def _panel_solver(lu_piv):
 
     F = U^T L^T P, so x = P^T L^-T U^-T r: a forward sweep with U^T, a
     backward sweep with the unit triangle L^T, then the row interchanges
-    as one gather.  Each sweep goes panel by panel: the rows already solved
-    enter through one product with a column view of ``lu``, and the
-    diagonal block through ``dtrsv`` on a Fortran-ordered copy (the block
-    itself when one panel spans ``lu``).
+    as one gather, indexed by ``dlaswp``.  Each sweep goes panel by panel:
+    the rows already solved enter through one product with a column view
+    of ``lu``, and the diagonal block through ``dtrsv`` on a Fortran-ordered
+    copy (the block itself when one panel spans ``lu``).
     """
     lu, piv = lu_piv
     N = lu.shape[0]
     blocks = [(s, e, np.asfortranarray(lu[s:e, s:e])) for s, e in _panels(N)]
     # P^T applies LAPACK's interchanges last to first
-    perm = np.arange(N)
-    for i in range(N - 1, -1, -1):
-        perm[[i, piv[i]]] = perm[[piv[i], i]]
+    perm = scipy.linalg.lapack.dlaswp(np.arange(N, dtype=float)[:, None], piv,
+                                      inc=-1)[:, 0].astype(np.intp)
     trsv = scipy.linalg.blas.dtrsv
 
     def solve(r):

@@ -7,9 +7,10 @@ contents while staying loadable by ``np.load``.
 
 Non-array metadata rides along as a JSON string stored under ``meta_json``.
 
-CSV tables render every number with ``FLOAT_FMT``, 17 significant digits,
-so floats round-trip bit-exactly and integers print as integers.  An
-optional config hash goes in a leading ``# config_hash=`` comment.
+CSV tables are written by one ``np.savetxt`` call that renders every
+number with ``FLOAT_FMT``, 17 significant digits, so floats round-trip
+bit-exactly and integers print as integers.  An optional config hash goes
+in a leading ``# config_hash=`` comment.
 """
 from __future__ import annotations
 
@@ -73,10 +74,9 @@ def require_meta(meta: dict, names, path) -> tuple:
 
 
 def write_csv(path, header, rows, config_hash: str | None = None) -> None:
-    """Write a header line and one line of numbers per row."""
-    with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+    """Write a header line and one line of numbers per row of ``rows``, a
+    2-D array or a list of equal-length rows."""
+    head = ",".join(header)
+    if config_hash is not None:
+        head = f"# config_hash={config_hash}\n{head}"
+    np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header=head, comments="")

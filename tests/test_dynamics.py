@@ -15,6 +15,7 @@ from genhjb.dynamics import (BLOWUP_NORM, ControlAffineSystem, StateGridSpec,
                              generate_dataset, read_dataset,
                              simulate_closed_loop, write_dataset)
 from genhjb.errors import ConfigError, DivergenceError, NumericalDomainError
+from genhjb.npzio import write_csv
 from genhjb.penalty import symmetric_box_penalty
 from genhjb.systems import (cartpole_default_grid, cartpole_systems,
                             linear_1d_system, linear_2d_system, make_benchmark,
@@ -886,3 +887,62 @@ def test_read_dataset_rejects_malformed(tmp_path):
     p.write_text("nope\n")
     with pytest.raises(ConfigError):
         read_dataset(p)
+
+
+@pytest.mark.parametrize("config_hash", [None, "cafe"])
+def test_write_csv_text(tmp_path, config_hash):
+    # -0, nan, +-inf, the smallest subnormal, 1e308 and an integer column,
+    # each as its literal text; a table with no rows is its header alone
+    head = "" if config_hash is None else "# config_hash=cafe\n"
+    rows = np.column_stack([np.arange(4), [-0.0, np.inf, 5e-324, 0.1],
+                            [np.nan, -np.inf, 1e308, 2.5]])
+    p = tmp_path / "t.csv"
+    write_csv(p, ["i", "a", "b"], rows, config_hash)
+    assert p.read_bytes() == (head + "i,a,b\n0,-0,nan\n1,inf,-inf\n"
+                              "2,4.9406564584124654e-324,1e+308\n"
+                              "3,0.10000000000000001,2.5\n").encode()
+    write_csv(p, ["a", "b"], np.empty((0, 2)), config_hash)
+    assert p.read_bytes() == (head + "a,b\n").encode()
+
+
+_DATASET_TEXT = ("# config_hash=cafe\nx_1,d0_1,q\n"
+                 "-0,4.9406564584124654e-324,1e+308\n3,-12,0.10000000000000001\n")
+
+
+def test_read_dataset_round_trips_the_bits(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(_DATASET_TEXT)
+    back, h = read_dataset(p)
+    assert h == "cafe"
+    data = np.column_stack([back.X, back.drift_labels[0], back.q])
+    want = np.array([[-0.0, 5e-324, 1e308], [3.0, -12.0, 0.1]])
+    assert np.array_equal(data.view(np.int64), want.view(np.int64))
+    write_dataset(p, back, config_hash=h)
+    assert p.read_text() == _DATASET_TEXT
+
+
+def test_read_dataset_skips_comments_and_blank_lines_and_reads_crlf(tmp_path):
+    p = tmp_path / "d.csv"
+    lines = _DATASET_TEXT.splitlines()
+    p.write_bytes("\r\n".join(["", lines[0], "# before the header", lines[1], lines[2],
+                               "# between rows", "", lines[3], ""]).encode())
+    back, h = read_dataset(p)
+    assert h == "cafe"
+    np.testing.assert_array_equal(back.X[:, 0], [-0.0, 3.0])
+    np.testing.assert_array_equal(back.q, [1e308, 0.1])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,2,3\n4,5\n", "malformed numeric row"),
+    ("1,abc,3\n", "malformed numeric row"),
+    ("", "do not match the header"),
+    ("1,2,3\n4,nan,6\n", "at data row 2, column d0_1"),
+])
+def test_read_dataset_errors_name_the_file(tmp_path, rows, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("x_1,d0_1,q\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message) as info:
+            read_dataset(p)
+    assert str(p) in str(info.value)

@@ -258,6 +258,20 @@ def test_panel_solve_matches_lu_solve(N):
     assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("N", [1, 2, 17, 600])
+def test_panel_solver_permutation_matches_the_swap_loop(N):
+    # with unit factors the solve is the row permutation P^T alone; the
+    # reference applies LAPACK's interchanges last to first, one swap each
+    rng = np.random.default_rng(N)
+    for piv in (np.arange(N, dtype=np.int32),
+                np.array([rng.integers(i, N) for i in range(N)], dtype=np.int32)):
+        perm = np.arange(N)
+        for i in range(N - 1, -1, -1):
+            perm[[i, piv[i]]] = perm[[piv[i], i]]
+        got = hjb._panel_solver((np.eye(N), piv))(np.arange(N, dtype=float))
+        assert np.array_equal(got, perm)
+
+
 def _peaks(ds, pen):
     """tracemalloc peaks of fit and solve_fvp, and the bytes the model holds."""
     tracemalloc.start()
