@@ -1,9 +1,10 @@
 """Control-affine systems, state grids, drift datasets, and simulation.
 
 A system is dx = (f(x) + G(x) u) dt + sqrt(2 eps) dW on R^{n_x} with inputs
-constrained to a box.  Drift datasets pair sample states with the drift under
-the zero input and under each unit input channel; those channel differences
-recover G(x) column by column, which is all the generator fit needs.
+constrained to a box, and its plant is one callable x -> (f(x), G(x)).
+Drift datasets pair sample states with the drift under the zero input and
+under each unit input channel; those channel differences recover G(x)
+column by column, which is all the generator fit needs.
 """
 from __future__ import annotations
 
@@ -27,21 +28,19 @@ BLOWUP_NORM = 1e6
 class ControlAffineSystem:
     """Dynamics dx/dt = f(x) + G(x) u plus isotropic noise of strength epsilon.
 
-    ``drift`` and ``input_map`` take one state as a sequence of n_x Python
-    floats and return plain lists: ``drift`` gives f(x) as n_x floats and
-    ``input_map`` gives G(x) as n_x rows of n_u floats.  A rollout calls
-    both once per simulator step and steps the state on floats (see
-    ``simulate_closed_loop``); callers that want arrays wrap the result in
-    ``np.asarray``.  Plants that take a batch of states belong to ROADMAP
-    item 5's cross-rollout batching.  ``epsilon`` is the diffusion
-    coefficient in front of sqrt(2) dW, not a variance.
+    ``field`` maps one state, a sequence of n_x Python floats, to the pair
+    (f, G) of plain lists: the drift f(x) as n_x floats and the input map
+    G(x) as n_x rows of n_u floats.  Each reader calls it once per state,
+    and a rollout steps the state on floats (see ``simulate_closed_loop``).
+    Plants that take a batch of states belong to ROADMAP item 5's
+    cross-rollout batching.  ``epsilon`` is the diffusion coefficient in
+    front of sqrt(2) dW, not a variance.
     """
 
     name: str
     n_x: int
     n_u: int
-    drift: Callable[[Sequence[float]], list]
-    input_map: Callable[[Sequence[float]], list]
+    field: Callable[[Sequence[float]], tuple]
     u_min: np.ndarray
     u_max: np.ndarray
     epsilon: float
@@ -73,9 +72,7 @@ def drift_under_input(system: ControlAffineSystem, x, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (system.n_u,):
         raise ValueError(f"input must have shape ({system.n_u},), got {u.shape}")
-    xs = x.tolist()
-    f, G = system.drift(xs), system.input_map(xs)
-    _check_plant_output(system, f, G)
+    f, G = _check_plant_output(system, system.field(x.tolist()))
     out = np.asarray(f) + np.asarray(G) @ u
     if not np.all(np.isfinite(out)):
         raise NumericalDomainError(f"non-finite drift at x={x!r}", where=x)
@@ -259,16 +256,12 @@ def dataset_from_states(
     if X.ndim != 2 or X.shape[1] != system.n_x:
         raise ValueError(f"states must have shape (N, {system.n_x})")
     N = X.shape[0]
-    channels = [np.zeros(system.n_u)]
-    channels += [np.eye(system.n_u)[j] for j in range(system.n_u)]
-    drift, input_map = system.drift, system.input_map
-
+    channels = [np.zeros(system.n_u), *np.eye(system.n_u)]
     labels = np.empty((system.n_u + 1, N, system.n_x))
     for i, x in enumerate(X.tolist()):
         # drift_under_input's arithmetic; its finiteness checks are the one
         # scan below
-        f, G = drift(x), input_map(x)
-        _check_plant_output(system, f, G)
+        f, G = _check_plant_output(system, system.field(x))
         f, G = np.asarray(f), np.asarray(G)
         for c, u in enumerate(channels):
             labels[c, i] = f + G @ u
@@ -304,8 +297,8 @@ def simulate_closed_loop(
     Returns (states, inputs) of shapes (steps + 1, n_x) and (steps, n_u).
     A state that is not finite or whose norm exceeds ``BLOWUP_NORM`` raises
     DivergenceError with the step that produced it; a start ``x0`` that is
-    not finite is a ValueError, and so is a plant whose ``drift`` or
-    ``input_map`` has the wrong shape at the first step.
+    not finite is a ValueError, and so is a plant whose ``field`` gives no
+    (f, G) pair, or one of the wrong shape, at the first step.
 
     The state is stepped as a list of Python floats: on 2-5 entries numpy's
     per-call overhead costs more than the arithmetic.  Each step is
@@ -323,7 +316,7 @@ def simulate_closed_loop(
     rng = np.random.default_rng(seed)
     noise_scale = math.sqrt(2.0 * system.epsilon * dt)
     noisy = noise and system.epsilon > 0
-    drift, input_map, blowup_norm = system.drift, system.input_map, BLOWUP_NORM
+    field, blowup_norm = system.field, BLOWUP_NORM
     n_x, n_u = system.n_x, system.n_u
     channels = range(n_u)
     box = list(zip(system.u_min.tolist(), system.u_max.tolist()))
@@ -343,9 +336,7 @@ def simulate_closed_loop(
                 v = lo if v <= lo else v
                 u.append(hi if v >= hi else v)
         inputs.append(u)
-        f, G = drift(x), input_map(x)
-        if k == 0:
-            _check_plant_output(system, f, G)
+        f, G = field(x) if k else _check_plant_output(system, field(x))
         # x_i + dt (f_i + sum_j G_ij u_j), the channels summed in order from
         # 0.0 as a matmul sums them, so that 0 * -1 adds +0.0
         stepped = []
@@ -368,10 +359,14 @@ def simulate_closed_loop(
     return np.array(states), np.array(inputs)
 
 
-def _check_plant_output(system: ControlAffineSystem, f, G) -> None:
-    """drift must give n_x entries and input_map n_x rows of n_u entries; a
-    float where a list belongs, such as a flat input_map row, is refused."""
+def _check_plant_output(system: ControlAffineSystem, out) -> tuple:
+    """``field``'s pair (f, G), checked to be n_x floats and n_x rows of n_u
+    floats; a float where a list belongs, such as a flat row, is refused."""
     n_x, n_u = system.n_x, system.n_u
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise ValueError(f"plant {system.name!r}: field must return the pair (drift, "
+                         f"input_map), got {out!r}")
+    f, G = out
     try:
         entries, rows = len(f), [len(g) for g in G]
     except TypeError:
@@ -383,6 +378,7 @@ def _check_plant_output(system: ControlAffineSystem, f, G) -> None:
     if rows != [n_u] * n_x:
         raise ValueError(f"plant {system.name!r}: input_map returned rows of lengths "
                          f"{rows}, expected {n_x} rows of {n_u}")
+    return out
 
 
 def accumulated_cost(states, inputs, stage_cost, pen, dt: float) -> float:
@@ -419,9 +415,7 @@ def dataset_header(n_x: int, n_u: int) -> list:
 
 def write_dataset(path, ds: GeneratorDataset, config_hash: str | None = None) -> None:
     """Write a dataset as CSV: states, per-channel drift labels, stage cost."""
-    rows = np.hstack(
-        [ds.X] + [ds.drift_labels[c] for c in range(ds.n_u + 1)] + [ds.q[:, None]]
-    )
+    rows = np.hstack([ds.X, *ds.drift_labels, ds.q[:, None]])
     write_csv(path, dataset_header(ds.n_x, ds.n_u), rows, config_hash)
 
 
@@ -430,12 +424,13 @@ def read_dataset(path):
 
     Returns (dataset, config_hash) where the hash, from a comment before
     the header, is None if absent.  ``np.loadtxt`` parses the rows and skips
-    comment and blank lines.  A non-finite entry is a ConfigError naming its
-    data row (1 is the first row after the header) and column.
+    comment and blank lines.  A row that is not one number per column is a
+    ConfigError naming its data row (1 is the first row after the header),
+    and a non-finite entry one naming its data row and column.
     """
     config_hash = None
     with open(path) as fh:
-        for skip, raw in enumerate(fh, 1):
+        for raw in fh:
             if raw.startswith("#"):
                 stripped = raw[1:].strip()
                 if stripped.startswith("config_hash="):
@@ -444,6 +439,7 @@ def read_dataset(path):
                 break
         else:
             raise ConfigError(f"dataset file {path} has no content")
+        rows = fh.readlines()
     header = [c.strip() for c in raw.split(",")]
     n_x = sum(1 for c in header if c.startswith("x_"))
     if n_x == 0 or header[-1] != "q":
@@ -451,17 +447,13 @@ def read_dataset(path):
     n_groups, rem = divmod(len(header) - n_x - 1, n_x)
     if rem != 0 or n_groups < 1:
         raise ConfigError(f"dataset header in {path} has inconsistent column counts")
-    expected = dataset_header(n_x, n_groups - 1)
-    if header != expected:
+    if header != dataset_header(n_x, n_groups - 1):
         raise ConfigError(f"dataset header in {path} does not match expected layout")
 
-    try:
-        with warnings.catch_warnings():
-            # no data rows load as shape (0, 1), which the check below rejects
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=skip)
-    except ValueError as exc:
-        raise ConfigError(f"malformed numeric row in {path}: {exc}") from None
+    data = _loadtxt(rows)
+    if data is None:
+        raise ConfigError(f"malformed numeric row in {path}: "
+                          f"{_malformed_row(rows, len(header))}")
     if data.shape[1] != len(header):
         raise ConfigError(f"dataset rows in {path} do not match the header")
     bad = np.argwhere(~np.isfinite(data))
@@ -470,8 +462,32 @@ def read_dataset(path):
         raise ConfigError(f"non-finite value {data[row, col]} in {path} at data row "
                           f"{row + 1}, column {header[col]}")
     X = data[:, :n_x]
-    labels = np.stack(
-        [data[:, n_x + c * n_x: n_x + (c + 1) * n_x] for c in range(n_groups)], axis=0
-    )
+    labels = np.stack(np.split(data[:, n_x:-1], n_groups, axis=1))
     q = data[:, -1]
     return GeneratorDataset(X=X, drift_labels=labels, q=q), config_hash
+
+
+def _loadtxt(lines):
+    """Dataset rows as an (M, columns) array, comment and blank lines
+    skipped (no rows load as shape (0, 1)), or None if np.loadtxt refuses
+    them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            return None
+
+
+def _malformed_row(lines, width: int) -> str:
+    """The first data row (1 follows the header) that is not ``width``
+    numbers in a table np.loadtxt refused: each line is read alone as the
+    table was, so the same lines are skipped (they load empty) and refused."""
+    row = 0
+    for line in lines:
+        values = _loadtxt([line])
+        if values is None or values.size:
+            row += 1
+            if values is None or values.shape[1] != width:
+                return (f"data row {row} is not {width} comma-separated numbers: "
+                        f"{line.strip()!r}")

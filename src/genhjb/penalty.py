@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_box
+from .errors import check_box, positive
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,11 @@ class ControlPenalty:
     u_max: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = np.atleast_1d(np.asarray(self.weights, dtype=object))
         if w.ndim != 1:
             raise ValueError(f"weights must be a vector, got shape {w.shape}")
+        w = np.array([positive(v, "penalty weights") for v in w], dtype=float)
         lo, hi = check_box(self.u_min, self.u_max, w.size, "u_min", "u_max")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("penalty weights must be positive and finite")
         if np.any(lo > 0) or np.any(hi < 0):
             raise ValueError("control box must contain u = 0")
         object.__setattr__(self, "weights", w)
@@ -44,7 +43,7 @@ class ControlPenalty:
 
 def symmetric_box_penalty(weights, u_max) -> ControlPenalty:
     """Penalty on the symmetric box [-u_max, u_max] per channel."""
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    w = np.atleast_1d(np.asarray(weights, dtype=object))
     hi = np.broadcast_to(np.asarray(u_max, dtype=float), w.shape).copy()
     return ControlPenalty(weights=w, u_min=-hi, u_max=hi)
 

@@ -5,9 +5,9 @@ theta appears as the pair (cos theta, sin theta).  For both mechanical
 benchmarks theta = 0 is the upright position, so stabilizing the origin of
 the stage cost means swinging up.
 
-The plant closures take one state as a sequence of n_x Python floats and
-return plain lists (the contract of ``ControlAffineSystem``); the stage costs
-take one embedded state as any sequence of n_x floats, a list (what
+Each plant is one closure from a state, n_x Python floats, to the pair
+(f, G) of plain lists (the contract of ``ControlAffineSystem``); the stage
+costs take one embedded state as any sequence of n_x floats, a list (what
 ``StateGridSpec.embed_point`` returns) or an array row.  The mechanical
 ones compute on Python floats with ``math.sin`` / ``math.cos``: a rollout
 calls them once per simulator step, and on a handful of floats numpy's
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import ControlAffineSystem, StateGridSpec
-from .errors import ConfigError
+from .errors import ConfigError, nonnegative
 from .penalty import ControlPenalty, symmetric_box_penalty
 
 
@@ -36,9 +36,10 @@ def _floats(x):
     return x.tolist() if isinstance(x, np.ndarray) else x
 
 
-def _plant(name, n_x, drift, input_map, u_max, epsilon) -> ControlAffineSystem:
-    """A one-input plant with the symmetric box |u| <= u_max."""
-    return ControlAffineSystem(name=name, n_x=n_x, n_u=1, drift=drift, input_map=input_map,
+def _plant(name, n_x, field, u_max, epsilon) -> ControlAffineSystem:
+    """A one-input plant with the box |u| <= u_max, u_max a nonnegative number."""
+    u_max = nonnegative(u_max, "u_max")
+    return ControlAffineSystem(name=name, n_x=n_x, n_u=1, field=field,
                                u_min=np.array([-u_max]), u_max=np.array([u_max]),
                                epsilon=epsilon)
 
@@ -46,13 +47,12 @@ def _plant(name, n_x, drift, input_map, u_max, epsilon) -> ControlAffineSystem:
 def linear_1d_system(a: float = 1.0, b: float = 1.0, u_max: float = 5.0,
                      epsilon: float = 0.01) -> ControlAffineSystem:
     """Scalar unstable plant dx = (a x + b u) dt + sqrt(2 eps) dW."""
-    return _plant("linear-1d", 1, lambda x: [a * x[0]], lambda x: [[b]], u_max, epsilon)
+    return _plant("linear-1d", 1, lambda x: ([a * x[0]], [[b]]), u_max, epsilon)
 
 
 def linear_2d_system(u_max: float = 5.0, epsilon: float = 0.01) -> ControlAffineSystem:
     """Double integrator: position-velocity chain driven through the velocity."""
-    return _plant("linear-2d", 2, lambda x: [x[1], 0.0], lambda x: [[0.0], [1.0]], u_max,
-                  epsilon)
+    return _plant("linear-2d", 2, lambda x: ([x[1], 0.0], [[0.0], [1.0]]), u_max, epsilon)
 
 
 # Pendulum physical constants.  The effective inertia about the pivot is
@@ -81,18 +81,19 @@ def pendulum_systems(epsilon: float = 0.02, u_max: float = 1.5, mass: float = _P
     def acceleration(s, w):
         return (mglc * s - damping * w) / J
 
-    def drift(x):
-        c, s, w = x
-        return [-s * w, c * w, acceleration(s, w)]
-
-    def sim_drift(x):
-        t, w = x
-        return [w, acceleration(math.sin(t), w)]
-
     G = [[0.0], [0.0], [1.0 / J]]
     sim_G = [[0.0], [1.0 / J]]
-    return (_plant("pendulum", 3, drift, lambda x: G, u_max, epsilon),
-            _plant("pendulum-intrinsic", 2, sim_drift, lambda x: sim_G, u_max, epsilon))
+
+    def field(x):
+        c, s, w = x
+        return [-s * w, c * w, acceleration(s, w)], G
+
+    def sim_field(x):
+        t, w = x
+        return [w, acceleration(math.sin(t), w)], sim_G
+
+    return (_plant("pendulum", 3, field, u_max, epsilon),
+            _plant("pendulum-intrinsic", 2, sim_field, u_max, epsilon))
 
 
 def pendulum_stage_cost(q_sin: float = 30.0, q_cos: float = 30.0,
@@ -144,40 +145,28 @@ def cartpole_systems(epsilon: float = 0.01, u_max: float = 7.0,
     mlc = pole_mass * lc
     mglc = pole_mass * gravity * lc
 
-    # Cramer's rule: the accelerations at zero force, and their change per
-    # unit force
-    def free(c, s, v, w):
+    # Cramer's rule from one m12 and det: the accelerations at zero force,
+    # then their change per unit force
+    def accelerations(c, s, v, w):
         m12 = mlc * c
         det = m11 * m22 - m12 * m12
         r1 = mlc * s * w * w - cart_damping * v
         r2 = mglc * s - rot_damping * w
-        return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+        return ((m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det,
+                m22 / det, -m12 / det)
 
-    def per_force(c):
-        m12 = mlc * c
-        det = m11 * m22 - m12 * m12
-        return m22 / det, -m12 / det
-
-    def drift(x):
+    def field(x):
         p, v, c, s, w = x
-        acc_p, acc_w = free(c, s, v, w)
-        return [v, acc_p, -s * w, c * w, acc_w]
+        acc_p, acc_w, g_p, g_w = accelerations(c, s, v, w)
+        return [v, acc_p, -s * w, c * w, acc_w], [[0.0], [g_p], [0.0], [0.0], [g_w]]
 
-    def input_map(x):
-        gp, gw = per_force(x[2])
-        return [[0.0], [gp], [0.0], [0.0], [gw]]
-
-    def sim_drift(x):
+    def sim_field(x):
         p, v, t, w = x
-        acc_p, acc_w = free(math.cos(t), math.sin(t), v, w)
-        return [v, acc_p, w, acc_w]
+        acc_p, acc_w, g_p, g_w = accelerations(math.cos(t), math.sin(t), v, w)
+        return [v, acc_p, w, acc_w], [[0.0], [g_p], [0.0], [g_w]]
 
-    def sim_input_map(x):
-        gp, gw = per_force(math.cos(x[2]))
-        return [[0.0], [gp], [0.0], [gw]]
-
-    return (_plant("cartpole", 5, drift, input_map, u_max, epsilon),
-            _plant("cartpole-intrinsic", 4, sim_drift, sim_input_map, u_max, epsilon))
+    return (_plant("cartpole", 5, field, u_max, epsilon),
+            _plant("cartpole-intrinsic", 4, sim_field, u_max, epsilon))
 
 
 def cartpole_stage_cost(q_tip: float = 10.0, q_upright: float = 100.0,
@@ -268,9 +257,9 @@ class Benchmark:
 
 
 def _linear_maps(sys_: ControlAffineSystem):
-    """(A, B) of a linear plant; A's columns are the drift at the unit vectors."""
-    A = np.column_stack([sys_.drift(e) for e in np.eye(sys_.n_x).tolist()])
-    return A, np.asarray(sys_.input_map([0.0] * sys_.n_x), dtype=float)
+    """(A, B) of a linear plant: A's columns are f at the unit vectors, B is G at 0."""
+    A = np.column_stack([sys_.field(e)[0] for e in np.eye(sys_.n_x).tolist()])
+    return A, np.asarray(sys_.field([0.0] * sys_.n_x)[1], dtype=float)
 
 
 def _linear_benchmark(sys_, counts, cost_params, q_default, stage_cost):
@@ -281,7 +270,8 @@ def _linear_benchmark(sys_, counts, cost_params, q_default, stage_cost):
     """
     q_weight = cost_params.pop("q_weight", q_default)
     r_weight = cost_params.pop("r_weight", 0.5)
-    _reject_leftover(cost_params)
+    if cost_params:
+        raise ConfigError(f"unknown cost parameters: {sorted(cost_params)}")
     grid = StateGridSpec(bounds=((-2.0, 2.0),) * sys_.n_x, counts=counts)
     return Benchmark(sys_, grid, stage_cost(q_weight),
                      symmetric_box_penalty([r_weight], sys_.u_max), sys_,
@@ -326,11 +316,6 @@ _BENCHMARKS = {
 BENCHMARK_NAMES = tuple(sorted(_BENCHMARKS))
 
 
-def _reject_leftover(params):
-    if params:
-        raise ConfigError(f"unknown cost parameters: {sorted(params)}")
-
-
 def make_benchmark(name: str, epsilon: float | None = None, u_max: float | None = None,
                    system_params: dict | None = None,
                    cost_params: dict | None = None) -> Benchmark:
@@ -341,8 +326,7 @@ def make_benchmark(name: str, epsilon: float | None = None, u_max: float | None 
     if name not in _BENCHMARKS:
         raise ConfigError(f"unknown system {name!r}; expected one of {BENCHMARK_NAMES}")
     params = dict(system_params or {})
-    eps = None if epsilon is None else float(epsilon)
-    for key, val in (("epsilon", eps), ("u_max", u_max)):
+    for key, val in (("epsilon", epsilon), ("u_max", u_max)):
         if key in params:
             raise ConfigError(f"bad parameters for system {name!r}: {key} is not a "
                               f"system parameter")

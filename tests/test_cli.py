@@ -490,6 +490,23 @@ def test_readme_config_is_accepted():
     cli.ExperimentConfig(yaml.safe_load(block.group(1)))
 
 
+def test_readme_walk_through_runs(tmp_path, capsys):
+    # the YAML block and each `genhjb ...` line of the README's CLI section,
+    # run in order with the output directory moved under tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = yaml.safe_load(re.search(r"```yaml\n(# experiment\.yaml\n.*?)```", readme,
+                                   re.S).group(1))
+    doc["out_dir"] = str(tmp_path / "out")
+    cfg = _write(tmp_path / "experiment.yaml", doc)
+    steps = re.findall(r"^genhjb (.+?)\s+# -> (.+)$", readme, re.M)
+    assert len(steps) == 7
+    for command, artefacts in steps:
+        argv = command.replace("experiment.yaml", cfg).split()
+        assert cli.main(argv) == 0, (command, capsys.readouterr().err)
+        for name in artefacts.split(","):
+            assert (tmp_path / "out" / Path(name.strip()).name).is_file(), (command, name)
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.findall(r"^\| `([\w.-]+)` \|", readme, re.M)

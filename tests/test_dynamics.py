@@ -1,5 +1,6 @@
 """Systems, state grids, drift datasets, simulation, and the CSV format."""
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -95,12 +96,18 @@ def test_cartpole_matches_mass_matrix_solve():
     for p, v, th, w, u in rng.uniform(-1, 1, size=(200, 5)) * [2, 3, np.pi, 8, 7]:
         c, s = np.cos(th), np.sin(th)
         mass = np.array([[M + m, m * lc * c], [m * lc * c, inertia + m * lc**2]])
-        rhs = np.array([u + m * lc * s * w**2 - k * v, m * g * lc * s - b * w])
-        acc_p, acc_w = np.linalg.solve(mass, rhs)
-        dE = drift_under_input(sysE, [p, v, c, s, w], [u])
+        # right-hand sides: the zero-force terms, then a unit force on the cart
+        rhs = np.array([[m * lc * s * w**2 - k * v, 1.0], [m * g * lc * s - b * w, 0.0]])
+        (acc_p, g_p), (acc_w, g_w) = np.linalg.solve(mass, rhs)
+        fE, GE = sysE.field([p, v, c, s, w])
+        fI, GI = sysI.field([p, v, th, w])
+        assert fE == pytest.approx([v, acc_p, -s * w, c * w, acc_w], rel=1e-10, abs=1e-12)
+        assert fI == pytest.approx([v, acc_p, w, acc_w], rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(GE, [[0.0], [g_p], [0.0], [0.0], [g_w]], rtol=1e-10)
+        np.testing.assert_allclose(GI, [[0.0], [g_p], [0.0], [g_w]], rtol=1e-10)
         dI = drift_under_input(sysI, [p, v, th, w], [u])
-        assert dE == pytest.approx([v, acc_p, -s * w, c * w, acc_w], rel=1e-10, abs=1e-12)
-        assert dI == pytest.approx([v, acc_p, w, acc_w], rel=1e-10, abs=1e-12)
+        assert dI == pytest.approx([v, acc_p + g_p * u, w, acc_w + g_w * u], rel=1e-10,
+                                   abs=1e-12)
 
 
 def _chain_rule_image(grid, x, f):
@@ -119,9 +126,9 @@ def _chain_rule_image(grid, x, f):
 
 def _assert_twins_are_one_plant(sysE, sysI, grid, q):
     x = grid.embed(q)
-    np.testing.assert_array_equal(sysE.drift(x), _chain_rule_image(grid, x, sysI.drift(q)))
-    np.testing.assert_array_equal(sysE.input_map(x),
-                                  _chain_rule_image(grid, x, np.asarray(sysI.input_map(q))))
+    (fE, GE), (fI, GI) = sysE.field(x), sysI.field(q)
+    np.testing.assert_array_equal(fE, _chain_rule_image(grid, x, fI))
+    np.testing.assert_array_equal(GE, _chain_rule_image(grid, x, np.asarray(GI)))
     assert sysE.epsilon == sysI.epsilon and sysE.n_u == sysI.n_u
     np.testing.assert_array_equal(sysE.u_min, sysI.u_min)
     np.testing.assert_array_equal(sysE.u_max, sysI.u_max)
@@ -288,7 +295,7 @@ def test_channel_differences_recover_input_map_columns():
         X = bench.grid.states()[::97]
         ds = dataset_from_states(bench.system, X, bench.stage_cost)
         for j in range(bench.system.n_u):
-            cols = np.stack([np.asarray(bench.system.input_map(x))[:, j] for x in X])
+            cols = np.stack([np.asarray(bench.system.field(x)[1])[:, j] for x in X])
             np.testing.assert_allclose(ds.drift_labels[j + 1] - ds.drift_labels[0],
                                        cols, rtol=1e-12, atol=1e-13)
 
@@ -296,8 +303,8 @@ def test_channel_differences_recover_input_map_columns():
 def _two_input_system():
     return ControlAffineSystem(
         name="two-input", n_x=2, n_u=2,
-        drift=lambda x: [x[1], -math.sin(x[0]) - 0.3 * x[1]],
-        input_map=lambda x: [[1.0, x[1]], [math.cos(x[0]), 2.0]],
+        field=lambda x: ([x[1], -math.sin(x[0]) - 0.3 * x[1]],
+                         [[1.0, x[1]], [math.cos(x[0]), 2.0]]),
         u_min=np.array([-1.0, -2.0]), u_max=np.array([1.0, 2.0]), epsilon=0.0)
 
 
@@ -323,11 +330,12 @@ def test_non_finite_drift_label_names_its_point():
     sys_ = linear_2d_system(epsilon=0.0)
     X = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
 
-    def drift(x):
+    def field(x):
+        f, G = sys_.field(x)
         bad = np.nan if np.array_equal(x, X[7]) else 0.0
-        return [f_i + bad for f_i in sys_.drift(x)]
+        return [f_i + bad for f_i in f], G
 
-    broken = replace(sys_, drift=drift)
+    broken = replace(sys_, field=field)
     with pytest.raises(NumericalDomainError, match="drift label at grid point 7$") as err:
         dataset_from_states(broken, X, lambda x: 0.0)
     assert err.value.where.tobytes() == X[7].tobytes()
@@ -421,8 +429,7 @@ def test_nonfinite_drift_diverges_at_its_step(bad):
     # non-finite at x = 3, so step 3 produces the first bad state
     sys_ = ControlAffineSystem(
         name="ramp", n_x=1, n_u=1,
-        drift=lambda x: [bad if x[0] >= 3.0 else 1.0],
-        input_map=lambda x: [[1.0]], u_min=[-1.0], u_max=[1.0],
+        field=lambda x: ([bad if x[0] >= 3.0 else 1.0], [[1.0]]), u_min=[-1.0], u_max=[1.0],
         epsilon=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -432,10 +439,13 @@ def test_nonfinite_drift_diverges_at_its_step(bad):
     assert exc.value.step == 3
 
 
+def _misshapen(field):
+    return ControlAffineSystem(name="misshapen", n_x=2, n_u=1, field=field, u_min=[-1.0],
+                               u_max=[1.0], epsilon=0.0)
+
+
 def _plant_2x1(drift, input_map):
-    return ControlAffineSystem(name="misshapen", n_x=2, n_u=1, drift=drift,
-                               input_map=input_map, u_min=[-1.0], u_max=[1.0],
-                               epsilon=0.0)
+    return _misshapen(lambda x: (drift(x), input_map(x)))
 
 
 @pytest.mark.parametrize("drift, returned", [
@@ -495,6 +505,43 @@ def test_a_float_in_place_of_a_list_names_the_plant(drift, input_map):
         dataset_from_states(sys_, [[0.5, 0.5]], lambda x: 0.0)
     with pytest.raises(ValueError, match=message):
         drift_under_input(sys_, [0.5, 0.5], [0.0])
+
+
+@pytest.mark.parametrize("out", [
+    [0.5, 0.0],
+    ([0.5, 0.0], [[0.0], [1.0]], [0.0]),
+    0.5,
+    None,
+], ids=["bare-drift", "triple", "float", "none"])
+def test_a_field_that_returns_no_pair_names_the_plant(out):
+    # f and G come from one callable; a bare drift list of n_x entries would
+    # unpack as the pair (x_1, x_2) and fail later with a misleading message
+    message = (r"^plant 'misshapen': field must return the pair \(drift, input_map\), "
+               rf"got {re.escape(repr(out))}$")
+    sys_ = _misshapen(lambda x: out)
+    with pytest.raises(ValueError, match=message):
+        simulate_closed_loop(sys_, lambda x: np.zeros(1), [0.1, 0.2], dt=0.01, steps=3)
+    with pytest.raises(ValueError, match=message):
+        drift_under_input(sys_, [0.5, 0.5], [0.0])
+    # well formed at the first state, not at the second
+    sys_ = _misshapen(lambda x: ([x[1], 0.0], [[0.0], [1.0]]) if x[0] < 1.0 else out)
+    with pytest.raises(ValueError, match=message):
+        dataset_from_states(sys_, [[0.5, 0.5], [1.0, 1.0]], lambda x: 0.0)
+
+
+def test_a_rollout_reads_the_field_once_per_step():
+    calls = []
+
+    def field(x):
+        calls.append(x)
+        return [x[1], 0.0], [[0.0], [1.0]]
+
+    simulate_closed_loop(_misshapen(field), lambda x: np.zeros(1), [0.1, 0.2], dt=0.01,
+                         steps=5)
+    assert len(calls) == 5
+    calls.clear()
+    dataset_from_states(_misshapen(field), [[0.5, 0.5], [1.0, 1.0]], lambda x: 0.0)
+    assert len(calls) == 2
 
 
 def test_drift_labels_check_the_plant_shape_at_every_state():
@@ -689,9 +736,8 @@ def test_policy_output_of_the_wrong_shape_is_rejected(out):
 def test_nonfinite_policy_output_diverges_at_step_0(out):
     # NaN passes the clamp; +-inf saturates, so only a box that lets it through
     # drives the state to infinity
-    sys_ = ControlAffineSystem(name="free", n_x=1, n_u=1, drift=lambda x: [0.0],
-                               input_map=lambda x: [[1.0]], u_min=[-np.inf],
-                               u_max=[np.inf], epsilon=0.0)
+    sys_ = ControlAffineSystem(name="free", n_x=1, n_u=1, field=lambda x: ([0.0], [[1.0]]),
+                               u_min=[-np.inf], u_max=[np.inf], epsilon=0.0)
     with pytest.raises(DivergenceError) as exc:
         simulate_closed_loop(sys_, lambda x: np.array([out]), [0.0], dt=0.01, steps=5,
                              noise=False)
@@ -701,8 +747,8 @@ def test_nonfinite_policy_output_diverges_at_step_0(out):
 def test_nan_control_bound_is_rejected():
     for lo, hi in (([np.nan], [1.0]), ([-1.0], [np.nan])):
         with pytest.raises(ValueError, match="must not be NaN"):
-            ControlAffineSystem(name="nan-box", n_x=1, n_u=1, drift=lambda x: [0.0],
-                                input_map=lambda x: [[1.0]], u_min=lo, u_max=hi,
+            ControlAffineSystem(name="nan-box", n_x=1, n_u=1,
+                                field=lambda x: ([0.0], [[1.0]]), u_min=lo, u_max=hi,
                                 epsilon=0.0)
 
 
@@ -717,9 +763,8 @@ def test_rollout_clamp_is_np_clip_bit_for_bit(v, box):
     # the zero input map keeps every input out of the state, so a NaN or
     # infinite input is recorded instead of diverging
     lo, hi = (np.array([b]) for b in box)
-    sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1, drift=lambda x: [0.0],
-                               input_map=lambda x: [[0.0]], u_min=lo, u_max=hi,
-                               epsilon=0.0)
+    sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1, field=lambda x: ([0.0], [[0.0]]),
+                               u_min=lo, u_max=hi, epsilon=0.0)
     out = np.array([v])
     if not np.isfinite(np.clip(out, lo, hi)[0]):
         with pytest.raises(DivergenceError):   # 0 * +-inf or NaN reaches the state
@@ -736,8 +781,8 @@ def test_rollout_clamp_settles_signed_zeros_as_np_clip_does():
     for v, lo, hi, want in ((-0.0, 0.0, 1.5, 0.0), (0.0, -0.0, 0.0, 0.0),
                             (0.0, -1.5, -0.0, -0.0), (-0.0, -0.0, -0.0, -0.0),
                             (-2.0, -0.0, 0.0, 0.0), (-0.0, -1.5, 1.5, -0.0)):
-        sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1, drift=lambda x: [0.0],
-                                   input_map=lambda x: [[0.0]], u_min=[lo], u_max=[hi],
+        sys_ = ControlAffineSystem(name="still", n_x=1, n_u=1,
+                                   field=lambda x: ([0.0], [[0.0]]), u_min=[lo], u_max=[hi],
                                    epsilon=0.0)
         _, inputs = simulate_closed_loop(sys_, lambda x: np.array([v]), [1.0], dt=0.1,
                                          steps=1, noise=False)
@@ -930,6 +975,19 @@ def test_read_dataset_skips_comments_and_blank_lines_and_reads_crlf(tmp_path):
     assert h == "cafe"
     np.testing.assert_array_equal(back.X[:, 0], [-0.0, 3.0])
     np.testing.assert_array_equal(back.q, [1e308, 0.1])
+
+
+@pytest.mark.parametrize("second_row", ["4,abc,6", "4,5", "4,5,6,7"],
+                         ids=["bad-cell", "short", "long"])
+def test_read_dataset_numbers_a_malformed_row_from_one(tmp_path, second_row):
+    # np.loadtxt numbered a bad cell from row 0 and a short row from row 1,
+    # and advised `usecols`; the comment and blank lines are not data rows
+    p = tmp_path / "bad.csv"
+    p.write_text(f"# config_hash=cafe\nx_1,d0_1,q\n1,2,3\n# note\n\n{second_row}\n7,8,9\n")
+    with pytest.raises(ConfigError) as info:
+        read_dataset(p)
+    assert str(info.value) == (f"malformed numeric row in {p}: data row 2 is not 3 "
+                               f"comma-separated numbers: {second_row!r}")
 
 
 @pytest.mark.parametrize("rows, message", [

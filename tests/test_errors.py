@@ -12,7 +12,8 @@ from genhjb.errors import ConfigError
 from genhjb.evaluation import (PipelineSpec, SweepSpec, rmse_to_reference, rollout_steps,
                                run_sweep)
 from genhjb.hjb import HjbConfig
-from genhjb.penalty import ControlPenalty
+from genhjb.penalty import ControlPenalty, symmetric_box_penalty
+from genhjb.systems import linear_1d_system
 
 SE1 = KernelSpec("squared-exponential", 1.0)
 LINEAR_1D = make_benchmark("linear-1d")
@@ -25,9 +26,8 @@ SWEEP = SweepSpec(
 
 
 def _plant(epsilon):
-    return ControlAffineSystem(name="p", n_x=1, n_u=1, drift=lambda x: [x[0]],
-                               input_map=lambda x: [[1.0]], u_min=[-1.0], u_max=[1.0],
-                               epsilon=epsilon)
+    return ControlAffineSystem(name="p", n_x=1, n_u=1, field=lambda x: ([x[0]], [[1.0]]),
+                               u_min=[-1.0], u_max=[1.0], epsilon=epsilon)
 
 
 def _score(lo=0.0, hi=1.0, n_points=3):
@@ -42,6 +42,12 @@ def _rollout(**kw):
 # argument name, its rule, and a call that passes the value to it
 SITES = {
     "system-epsilon": ("epsilon", "nonnegative", _plant),
+    "benchmark-epsilon": ("epsilon", "nonnegative",
+                          lambda v: make_benchmark("pendulum", epsilon=v)),
+    "benchmark-u_max": ("u_max", "nonnegative", lambda v: make_benchmark("pendulum", u_max=v)),
+    "plant-u_max": ("u_max", "nonnegative", lambda v: linear_1d_system(u_max=v)),
+    "penalty-weights": ("penalty weights", "positive",
+                        lambda v: symmetric_box_penalty([v], 1.0)),
     "target-epsilon": ("epsilon", "nonnegative",
                        lambda v: kernels._gram_and_targets(SE1, DATASET.X,
                                                            [DATASET.drift_labels[0]], v)),
@@ -76,6 +82,10 @@ def test_a_bad_scalar_is_a_config_error_naming_the_argument(site, value):
 
 def test_a_good_scalar_is_kept_as_the_helpers_float():
     assert type(_plant(np.float64(0.02)).epsilon) is float
+    bench = make_benchmark("pendulum", epsilon=np.float64(0.5), u_max=2)
+    assert type(bench.system.epsilon) is float and bench.system.epsilon == 0.5
+    assert bench.pen.u_max.tolist() == [2.0]
+    assert symmetric_box_penalty([np.float64(0.5), 2], 1.0).weights.tolist() == [0.5, 2.0]
     assert type(fit(DATASET, SE1, np.float64(1e-8), 0.01).gamma) is float
     assert rollout_steps(np.float64(1.0), 10, 1e-3) == (1000, 100)
 

@@ -285,10 +285,9 @@ def test_parallel_sweep_matches_serial():
 
 
 def _integrator(f=None):
+    f = f or (lambda x: [0.0])
     return ControlAffineSystem(
-        name="toy", n_x=1, n_u=1,
-        drift=f or (lambda x: [0.0]),
-        input_map=lambda x: [[1.0]],
+        name="toy", n_x=1, n_u=1, field=lambda x: (f(x), [[1.0]]),
         u_min=[-5.0], u_max=[5.0], epsilon=0.0,
     )
 
@@ -347,8 +346,7 @@ def test_cost_bench_input_respects_simulator_box():
 def test_cost_bench_counts_diverged_rollouts():
     # dx/dt = x^2 from x0 >= 2 escapes in finite time
     blow = ControlAffineSystem(name="blow", n_x=1, n_u=1,
-                               drift=lambda x: [x[0] * x[0]],
-                               input_map=lambda x: [[1.0]],
+                               field=lambda x: ([x[0] * x[0]], [[1.0]]),
                                u_min=[-1.0], u_max=[1.0], epsilon=0.0)
     spec = CostBenchSpec(system=blow, stage_cost=lambda x: 1.0, pen=None,
                          init_lo=(2.0,), init_hi=(3.0,), duration=2.0,
