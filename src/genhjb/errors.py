@@ -9,8 +9,9 @@ Every scalar and box check in the package is one of the helpers below
 caller keeps the float or int it returns.  The checks kept elsewhere
 follow another rule: the plant's actuator box in
 ``dynamics.ControlAffineSystem`` allows an infinite bound and rejects only
-NaN; the shape checks on the policy-query path (``penalty._lam``,
-``kernels.cross_kernel_vector``) and on each block of a policy score
+NaN; the shape checks on the query path (``kernels.cross_kernel_matrix``
+on the states, which a single state meets as a batch of one, and
+``penalty._lam`` on lambda) and on each block of a policy score
 (``evaluation._batch_inputs``) test one array's shape, not its values,
 on every call; and ``cli._pair`` names the config key it reads.
 """

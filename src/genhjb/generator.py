@@ -264,10 +264,10 @@ def load_model(path):
     An archive without one of the model's arrays or metadata entries, or
     with an array of the wrong shape, raises ValueError naming it; an
     archive that stores B-hat in place of G (written before G was stored)
-    is one without G.  So does
-    a recorded surrogate constant that differs from the one in ``kernels``,
-    since the targets were built with it; an archive that records none
-    (written before they were recorded) loads as it is.
+    counts as one without G.  A recorded surrogate constant that differs
+    from the one in ``kernels`` raises ValueError too, since the targets
+    were built with it; an archive that records none (written before they
+    were recorded) loads as it is.
     """
     arrays, meta = load_arrays(path)
     if meta is None or meta.get("kind") != "generator-model":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_box, positive
+from .errors import check_box, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,12 @@ class ControlPenalty:
 
 
 def symmetric_box_penalty(weights, u_max) -> ControlPenalty:
-    """Penalty on the symmetric box [-u_max, u_max] per channel."""
+    """Penalty on the symmetric box [-u_max, u_max] per channel; ``u_max``
+    is one bound for every channel or one per channel, each read by
+    ``errors.nonnegative``."""
     w = np.atleast_1d(np.asarray(weights, dtype=object))
-    hi = np.broadcast_to(np.asarray(u_max, dtype=float), w.shape).copy()
+    hi = np.broadcast_to(np.asarray(u_max, dtype=object), w.shape)
+    hi = np.array([nonnegative(v, "u_max") for v in hi.flat]).reshape(w.shape)
     return ControlPenalty(weights=w, u_min=-hi, u_max=hi)
 
 

@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genhjb import KernelSpec, fit, hjb, kernels
+from genhjb import KernelSpec, fit, hjb, kernels, make_benchmark
 from genhjb.dynamics import StateGridSpec, generate_dataset
 from genhjb.errors import DivergenceError, StepSizeError
+from genhjb.evaluation import PipelineSpec, run_pipeline
 from genhjb.generator import GeneratorModel, target_kernel_matrix
 from genhjb.hjb import (HjbConfig, HjbSolution, load_solution, policy_at,
                         policy_on, save_solution, smoothed_policy_at,
@@ -402,8 +405,61 @@ def test_policy_respects_box_everywhere():
     X = rng.uniform(-3, 3, size=(200, 1))
     U = policy_on(sol, pen, X)
     assert np.all(U >= -0.3) and np.all(U <= 0.3)
-    np.testing.assert_allclose(U[:5],
-                               np.stack([policy_at(sol, pen, x) for x in X[:5]]))
+    np.testing.assert_array_equal(U[:5],
+                                  np.stack([policy_at(sol, pen, x) for x in X[:5]]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(kernels.FAMILIES), n_u=st.sampled_from([1, 2]),
+       n_x=st.integers(1, 3), N=st.integers(1, 1200), M=st.integers(1, 120),
+       cut=st.tuples(st.integers(0, 120), st.integers(0, 120)), seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_are_single_queries_bit_for_bit(family, n_u, n_x, N, M, cut, seed):
+    # coefficients of the size a solve leaves (1e4 times the values they
+    # encode), queries on and off the data points; each row of a batch, and
+    # of any slice of it, is the single-state evaluation of its state
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(N, n_x))
+    # evaluation reads the kernel, X and n_u of the model, not its blocks
+    model = GeneratorModel(
+        kernel=KernelSpec(family, 1.5), X=X, gamma=1e-8, epsilon=0.0,
+        A_target=np.zeros((0, 0)), G=np.zeros((n_u, 0, n_x)),
+        KB_hat=np.zeros((n_u, 0, 0)), q=np.zeros(0))
+    sol = HjbSolution(model=model, config=HjbConfig(dt=0.01, horizon_steps=1),
+                      v0=rng.normal(scale=1e4, size=N), bv0=rng.normal(scale=1e4, size=(n_u, N)))
+    pen = symmetric_box_penalty([0.5] * n_u, 1e5)
+    Q = rng.uniform(-2.5, 2.5, size=(M, n_x))
+    Q[::3] = X[rng.integers(0, N, size=Q[::3].shape[0])]
+    V, U = value_on(sol, Q), policy_on(sol, pen, Q)
+    assert V.shape == (M,) and U.shape == (M, n_u)
+    assert np.array_equal(_bits(V), _bits([value_at(sol, q) for q in Q]))
+    assert np.array_equal(_bits(U), _bits([policy_at(sol, pen, q) for q in Q]))
+    part = slice(*sorted(cut))
+    assert np.array_equal(_bits(value_on(sol, Q[part])), _bits(V[part]))
+    assert np.array_equal(_bits(policy_on(sol, pen, Q[part])), _bits(U[part]))
+
+
+def test_linear_2d_nodes_evaluate_alike_in_one_batch_and_in_blocks(tmp_path, monkeypatch):
+    # criterion 2's model at 100 steps: v0's entries are about 1e4 times the
+    # values, so a reduction that depends on the batch size shows in the
+    # last bits of a few of the 900 values and inputs
+    bench = make_benchmark("linear-2d")
+    sol = run_pipeline(PipelineSpec(bench=bench, kernel=KernelSpec("squared-exponential", 3.0),
+                                    gamma=1e-8, hjb=HjbConfig(dt=0.01, horizon_steps=100)))
+    X, pen = sol.model.X, bench.pen
+    blocks = kernels.row_blocks(len(X))
+    assert len(blocks) > 1
+    assert np.array_equal(_bits(value_on(sol, X)),
+                          _bits(np.concatenate([value_on(sol, X[b]) for b in blocks])))
+    assert np.array_equal(_bits(policy_on(sol, pen, X)),
+                          _bits(np.concatenate([policy_on(sol, pen, X[b]) for b in blocks])))
+    write_value_policy_csv(tmp_path / "blocks.csv", sol, pen, X)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", len(X))
+    write_value_policy_csv(tmp_path / "whole.csv", sol, pen, X)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_smoothed_policy_hand_value_and_bounds():

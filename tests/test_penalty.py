@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from genhjb.errors import ConfigError
 from genhjb.penalty import (ControlPenalty, dual_value, penalty_value,
                             symmetric_box_penalty, u_star)
 
@@ -20,6 +21,21 @@ def test_construction_validation():
         ControlPenalty(weights=[1.0], u_min=[-np.inf], u_max=[1.0])
     with pytest.raises(ValueError):
         ControlPenalty(weights=[1.0, 2.0], u_min=[-1.0], u_max=[1.0])
+
+
+@pytest.mark.parametrize("u_max", [True, "2.5", np.nan, -1.0, [1.0, np.nan]])
+def test_symmetric_box_reads_each_bound_by_value(u_max):
+    # a boolean or a string is refused, not read as 1 or parsed as 2.5
+    with pytest.raises(ConfigError, match="u_max"):
+        symmetric_box_penalty([0.5, 0.5], u_max)
+
+
+def test_symmetric_box_broadcasts_one_bound():
+    p = symmetric_box_penalty([0.5, 2.0], 3)
+    np.testing.assert_array_equal(p.u_max, [3.0, 3.0])
+    np.testing.assert_array_equal(p.u_min, [-3.0, -3.0])
+    assert p.u_max.dtype == float
+    np.testing.assert_array_equal(symmetric_box_penalty([0.5, 2.0], [1, 2]).u_max, [1.0, 2.0])
 
 
 def test_u_star_hand_examples():
